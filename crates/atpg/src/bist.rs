@@ -20,7 +20,6 @@ use crate::fault_sim::{block_active_mask, FaultSimulator, SimBlock, BLOCK_BITS};
 /// polynomial (e.g. `x^16 + x^14 + x^13 + x^11 + 1` is
 /// `Lfsr::new(16, &[16, 14, 13, 11], seed)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Lfsr {
     width: u32,
     tap_mask: u64,
@@ -89,7 +88,6 @@ impl Lfsr {
 /// A multiple-input signature register: compacts per-pattern responses
 /// into one signature word.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Misr {
     width: u32,
     tap_mask: u64,
@@ -191,39 +189,6 @@ pub fn evaluate_bist(
     let mut misr = Misr::standard();
     let mut ramp = Vec::new();
     let mut applied = 0usize;
-    if crate::fault_sim::narrow_forced() {
-        while applied < pattern_count {
-            let block: Vec<Vec<bool>> = (0..64.min(pattern_count - applied))
-                .map(|_| lfsr.next_pattern(width))
-                .collect();
-            applied += block.len();
-            let undetected: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
-            let targets: Vec<Fault> = undetected.iter().map(|&i| faults[i]).collect();
-            let masks = fsim.detection_masks(&block, &targets)?;
-            for (k, m) in masks.into_iter().enumerate() {
-                if m != 0 {
-                    detected[undetected[k]] = true;
-                }
-            }
-            // Good-machine signature over primary outputs, per pattern.
-            let (good, _) = fsim.good_values(&block)?;
-            for (slot, _) in block.iter().enumerate() {
-                let response: Vec<bool> = circuit
-                    .outputs()
-                    .iter()
-                    .map(|o| good[o.index()] & (1 << slot) != 0)
-                    .collect();
-                misr.absorb(&response);
-            }
-            ramp.push(detected.iter().filter(|&&d| d).count() as f64 / faults.len().max(1) as f64);
-        }
-        return Ok(BistOutcome {
-            patterns: applied,
-            coverage: detected.iter().filter(|&&d| d).count() as f64 / faults.len().max(1) as f64,
-            good_signature: misr.signature(),
-            ramp,
-        });
-    }
     while applied < pattern_count {
         let block: Vec<Vec<bool>> = (0..BLOCK_BITS.min(pattern_count - applied))
             .map(|_| lfsr.next_pattern(width))
@@ -232,9 +197,9 @@ pub fn evaluate_bist(
         let (good, n) = fsim.good_blocks(&block)?;
         let active = block_active_mask(n);
         // One 512-wide detection mask per still-undetected fault; marking
-        // is then replayed one 64-bit word at a time so the per-64 ramp
-        // matches the narrow path bit for bit (the ramp's granularity is
-        // part of the report contract, not an implementation detail).
+        // is then replayed one 64-bit word at a time so the ramp keeps its
+        // per-64 granularity (part of the report contract, not an
+        // implementation detail).
         let mut masks: Vec<(usize, SimBlock)> = Vec::new();
         for (i, &f) in faults.iter().enumerate() {
             if detected[i] {
@@ -495,6 +460,71 @@ g23 = NAND(g16, g19)
         // Ramp is monotone nondecreasing.
         for pair in outcome.ramp.windows(2) {
             assert!(pair[1] >= pair[0]);
+        }
+    }
+
+    /// Single-word reference for [`evaluate_bist`]: 64-pattern batches
+    /// through [`FaultSimulator::detection_masks`], one ramp entry per
+    /// batch.
+    fn evaluate_bist_narrow(
+        circuit: &Circuit,
+        faults: &[Fault],
+        mut lfsr: Lfsr,
+        pattern_count: usize,
+    ) -> BistOutcome {
+        let mut fsim = FaultSimulator::new(circuit).unwrap();
+        let width = circuit.input_count();
+        let mut detected = vec![false; faults.len()];
+        let mut misr = Misr::standard();
+        let mut ramp = Vec::new();
+        let mut applied = 0usize;
+        let coverage = |d: &[bool]| d.iter().filter(|&&x| x).count() as f64 / d.len().max(1) as f64;
+        while applied < pattern_count {
+            let block: Vec<Vec<bool>> = (0..64.min(pattern_count - applied))
+                .map(|_| lfsr.next_pattern(width))
+                .collect();
+            applied += block.len();
+            let undetected: Vec<usize> = (0..faults.len()).filter(|&i| !detected[i]).collect();
+            let targets: Vec<Fault> = undetected.iter().map(|&i| faults[i]).collect();
+            let masks = fsim.detection_masks(&block, &targets).unwrap();
+            for (k, m) in masks.into_iter().enumerate() {
+                if m != 0 {
+                    detected[undetected[k]] = true;
+                }
+            }
+            let (good, _) = fsim.good_values(&block).unwrap();
+            for slot in 0..block.len() {
+                let response: Vec<bool> = circuit
+                    .outputs()
+                    .iter()
+                    .map(|o| good[o.index()] & (1 << slot) != 0)
+                    .collect();
+                misr.absorb(&response);
+            }
+            ramp.push(coverage(&detected));
+        }
+        BistOutcome {
+            patterns: applied,
+            coverage: coverage(&detected),
+            good_signature: misr.signature(),
+            ramp,
+        }
+    }
+
+    /// Blocked BIST vs the single-word reference: pattern count,
+    /// coverage, MISR signature and the per-64 ramp, bit for bit.
+    #[test]
+    fn evaluate_bist_matches_narrow() {
+        use crate::fault_sim::oracle::{generated_model, PATTERN_COUNTS};
+        let model = generated_model();
+        let c = &model.circuit;
+        let faults = collapse_faults(c).representatives().to_vec();
+        for count in PATTERN_COUNTS {
+            let wide = evaluate_bist(c, &faults, Lfsr::standard(5), count).unwrap();
+            let narrow = evaluate_bist_narrow(c, &faults, Lfsr::standard(5), count);
+            assert_eq!(wide.ramp.len(), count.div_ceil(64), "count={count}");
+            assert!(wide.coverage > 0.0, "count={count}");
+            assert_eq!(wide, narrow, "count={count}");
         }
     }
 

@@ -18,7 +18,7 @@ use modsoc_netlist::{Circuit, StructuralIndex};
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{block_active_mask, FaultSimulator, BLOCK_BITS};
+use crate::fault_sim::FaultSimulator;
 use crate::pattern::{FillStrategy, TestCube, TestSet};
 
 /// Greedy first-fit merging of compatible cubes.
@@ -97,39 +97,7 @@ pub fn reverse_order_compaction_indexed(
     let mut fsim = FaultSimulator::with_index(circuit, Arc::clone(index))?;
 
     // Detection matrix: per pattern, which fault indices it detects.
-    // Swept with the wide kernel (pattern index = block * BLOCK_BITS +
-    // word * 64 + bit); the narrow fallback preserves the pre-blocked
-    // path for the CI kernel smoke.
-    let mut detects: Vec<Vec<u32>> = vec![Vec::new(); patterns.len()];
-    if crate::fault_sim::narrow_forced() {
-        for (chunk_idx, chunk) in filled.chunks(64).enumerate() {
-            let masks = fsim.detection_masks(chunk, faults)?;
-            for (fi, mask) in masks.into_iter().enumerate() {
-                let mut m = mask;
-                while m != 0 {
-                    let bit = m.trailing_zeros() as usize;
-                    detects[chunk_idx * 64 + bit].push(fi as u32);
-                    m &= m - 1;
-                }
-            }
-        }
-    } else {
-        for (blk_idx, chunk) in filled.chunks(BLOCK_BITS).enumerate() {
-            let (good, n) = fsim.good_blocks(chunk)?;
-            let active = block_active_mask(n);
-            for (fi, &fault) in faults.iter().enumerate() {
-                let mask = fsim.block_detection_mask(&good, &active, fault);
-                for (w, &word) in mask.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        let bit = m.trailing_zeros() as usize;
-                        detects[blk_idx * BLOCK_BITS + w * 64 + bit].push(fi as u32);
-                        m &= m - 1;
-                    }
-                }
-            }
-        }
-    }
+    let detects = detection_matrix(&mut fsim, &filled, faults)?;
 
     let mut covered = vec![false; faults.len()];
     let mut keep: Vec<usize> = Vec::new();
@@ -148,12 +116,22 @@ pub fn reverse_order_compaction_indexed(
     Ok(out)
 }
 
+/// Per pattern, the ascending indices of the faults it detects.
+fn detection_matrix(
+    fsim: &mut FaultSimulator<'_>,
+    filled: &[Vec<bool>],
+    faults: &[Fault],
+) -> Result<Vec<Vec<u32>>, AtpgError> {
+    let mut detects: Vec<Vec<u32>> = vec![Vec::new(); filled.len()];
+    fsim.for_each_detection(filled, faults, |p, f| detects[p].push(f as u32))?;
+    Ok(detects)
+}
+
 /// Conflict statistics of a cube set — the §3 mechanism made
 /// measurable: conflicting cubes cannot merge, so the final pattern
 /// count is wedged between a clique-based lower bound and the greedy
 /// merge result.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConflictStats {
     /// Number of cubes analysed.
     pub cubes: usize,
@@ -354,6 +332,26 @@ g23 = NAND(g16, g19)
         assert!(s.merge_upper_bound <= s.cubes);
         // c17's cones overlap heavily, so real cube sets do conflict.
         assert!(s.conflicting_pairs > 0);
+    }
+
+    /// The blocked detection matrix vs the single-word sweep it
+    /// replaced, row for row (each row sorted by fault index).
+    #[test]
+    fn detection_matrix_matches_narrow() {
+        use crate::fault_sim::oracle::{cyc_patterns, generated_model, PATTERN_COUNTS};
+        let model = generated_model();
+        let c = &model.circuit;
+        let faults: Vec<Fault> = enumerate_faults(c).into_iter().take(200).collect();
+        let mut fsim = FaultSimulator::new(c).unwrap();
+        for count in PATTERN_COUNTS {
+            let patterns = cyc_patterns(c.input_count(), count);
+            let mut narrow: Vec<Vec<u32>> = vec![Vec::new(); count];
+            fsim.for_each_detection_narrow(&patterns, &faults, |p, f| narrow[p].push(f as u32))
+                .unwrap();
+            let wide = detection_matrix(&mut fsim, &patterns, &faults).unwrap();
+            assert!(wide.iter().any(|row| !row.is_empty()), "count={count}");
+            assert_eq!(wide, narrow, "count={count}");
+        }
     }
 
     #[test]

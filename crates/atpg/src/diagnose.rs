@@ -10,7 +10,7 @@ use modsoc_netlist::Circuit;
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{active_mask, block_active_mask, FaultSimulator, BLOCK_BITS};
+use crate::fault_sim::{active_mask, FaultSimulator};
 
 /// The observed behaviour of one applied pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,41 +99,8 @@ pub fn diagnose(
         .map(|o| !o.failing_outputs.is_empty())
         .collect();
 
-    // Predicted failing-pattern masks per candidate, block by block on
-    // the wide kernel (pattern index = block * BLOCK_BITS + word * 64 +
-    // bit, sharing the blocked tail-mask discipline); the narrow
-    // fallback preserves the pre-blocked path for the CI kernel smoke.
-    let mut predicted: Vec<Vec<bool>> = vec![vec![false; observations.len()]; candidates.len()];
     let patterns: Vec<Vec<bool>> = observations.iter().map(|o| o.inputs.clone()).collect();
-    if crate::fault_sim::narrow_forced() {
-        for (chunk_idx, chunk) in patterns.chunks(64).enumerate() {
-            let masks = fsim.detection_masks(chunk, candidates)?;
-            for (ci, mask) in masks.into_iter().enumerate() {
-                let mut m = mask;
-                while m != 0 {
-                    let bit = m.trailing_zeros() as usize;
-                    predicted[ci][chunk_idx * 64 + bit] = true;
-                    m &= m - 1;
-                }
-            }
-        }
-    } else {
-        for (blk_idx, chunk) in patterns.chunks(BLOCK_BITS).enumerate() {
-            let (good, n) = fsim.good_blocks(chunk)?;
-            let active = block_active_mask(n);
-            for (ci, &fault) in candidates.iter().enumerate() {
-                let mask = fsim.block_detection_mask(&good, &active, fault);
-                for (w, &word) in mask.iter().enumerate() {
-                    let mut m = word;
-                    while m != 0 {
-                        let bit = m.trailing_zeros() as usize;
-                        predicted[ci][blk_idx * BLOCK_BITS + w * 64 + bit] = true;
-                        m &= m - 1;
-                    }
-                }
-            }
-        }
-    }
+    let predicted = predicted_failures(&mut fsim, &patterns, candidates)?;
 
     let mut out: Vec<Candidate> = candidates
         .iter()
@@ -164,6 +131,17 @@ pub fn diagnose(
             .then_with(|| a.fault.cmp(&b.fault))
     });
     Ok(out)
+}
+
+/// Per candidate, which patterns it predicts to fail.
+fn predicted_failures(
+    fsim: &mut FaultSimulator<'_>,
+    patterns: &[Vec<bool>],
+    candidates: &[Fault],
+) -> Result<Vec<Vec<bool>>, AtpgError> {
+    let mut predicted = vec![vec![false; patterns.len()]; candidates.len()];
+    fsim.for_each_detection(patterns, candidates, |p, c| predicted[c][p] = true)?;
+    Ok(predicted)
 }
 
 /// Build the observed syndrome for a device whose behaviour is the
@@ -285,6 +263,31 @@ g23 = NAND(g16, g19)
         (0..32usize)
             .map(|row| (0..5).map(|i| (row >> i) & 1 == 1).collect())
             .collect()
+    }
+
+    /// The blocked predicted-failure matrix vs the single-word sweep it
+    /// replaced.
+    #[test]
+    fn predicted_failures_match_narrow() {
+        use crate::fault_sim::oracle::{cyc_patterns, generated_model, PATTERN_COUNTS};
+        let model = generated_model();
+        let c = &model.circuit;
+        let candidates: Vec<Fault> = collapse_faults(c)
+            .representatives()
+            .iter()
+            .copied()
+            .take(200)
+            .collect();
+        let mut fsim = FaultSimulator::new(c).unwrap();
+        for count in PATTERN_COUNTS {
+            let patterns = cyc_patterns(c.input_count(), count);
+            let mut narrow = vec![vec![false; count]; candidates.len()];
+            fsim.for_each_detection_narrow(&patterns, &candidates, |p, ci| narrow[ci][p] = true)
+                .unwrap();
+            let wide = predicted_failures(&mut fsim, &patterns, &candidates).unwrap();
+            assert!(wide.iter().flatten().any(|&p| p), "count={count}");
+            assert_eq!(wide, narrow, "count={count}");
+        }
     }
 
     #[test]

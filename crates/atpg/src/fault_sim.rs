@@ -23,10 +23,9 @@
 //! read-only by every worker, which then streams its fault shard
 //! against one cache-resident block at a time.
 //!
-//! Both widths produce bit-identical detection verdicts; setting
-//! `MODSOC_FAULT_SIM=narrow` in the environment forces every blocked
-//! sweep back onto the single-word path (the CI kernel smoke diffs the
-//! two full-binary outputs).
+//! Both widths produce bit-identical detection verdicts; the unit-test
+//! oracles here and in the compaction/diagnosis/TDF/BIST modules pin
+//! every blocked sweep to the single-word path.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -87,14 +86,6 @@ pub fn block_active_mask(n: usize) -> SimBlock {
         *word = active_mask(n.saturating_sub(w * 64));
     }
     mask
-}
-
-/// Whether `MODSOC_FAULT_SIM=narrow` is set, forcing every blocked
-/// sweep back onto the single-`u64` path. CI uses this to diff the old
-/// and new kernels end-to-end; it is read once per sweep, never in the
-/// hot loop.
-pub(crate) fn narrow_forced() -> bool {
-    std::env::var_os("MODSOC_FAULT_SIM").is_some_and(|v| v == "narrow")
 }
 
 /// Epoch-stamped faulty-value scratch for one packed width.
@@ -529,7 +520,7 @@ impl<'a> FaultSimulator<'a> {
     /// kernel on this simulator's scratch: patterns are consumed in
     /// [`BLOCK_BITS`] blocks, and a fault detected by an earlier block
     /// is dropped from later blocks (pure OR-reduction, so the result is
-    /// identical to an undropped sweep). Honors `MODSOC_FAULT_SIM=narrow`.
+    /// identical to an undropped sweep).
     ///
     /// # Errors
     ///
@@ -540,17 +531,6 @@ impl<'a> FaultSimulator<'a> {
         faults: &[Fault],
     ) -> Result<Vec<bool>, AtpgError> {
         let mut detected = vec![false; faults.len()];
-        if narrow_forced() {
-            for chunk in patterns.chunks(64) {
-                let masks = self.detection_masks(chunk, faults)?;
-                for (d, m) in detected.iter_mut().zip(masks) {
-                    if m != 0 {
-                        *d = true;
-                    }
-                }
-            }
-            return Ok(detected);
-        }
         for chunk in patterns.chunks(BLOCK_BITS) {
             let (good, n) = self.good_blocks(chunk)?;
             let active = block_active_mask(n);
@@ -564,6 +544,40 @@ impl<'a> FaultSimulator<'a> {
             }
         }
         Ok(detected)
+    }
+
+    /// Visit every detection of `patterns` (any count) × `faults` as
+    /// `visit(pattern index, fault index)`, swept with the wide kernel in
+    /// [`BLOCK_BITS`] blocks. Within a block, faults are visited in
+    /// ascending order and each fault's patterns in ascending order, so
+    /// a matrix built by pushing onto per-pattern lists stays sorted by
+    /// fault index.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pattern width errors.
+    pub(crate) fn for_each_detection(
+        &mut self,
+        patterns: &[Vec<bool>],
+        faults: &[Fault],
+        mut visit: impl FnMut(usize, usize),
+    ) -> Result<(), AtpgError> {
+        for (blk_idx, chunk) in patterns.chunks(BLOCK_BITS).enumerate() {
+            let (good, n) = self.good_blocks(chunk)?;
+            let active = block_active_mask(n);
+            for (fi, &fault) in faults.iter().enumerate() {
+                let mask = self.block_detection_mask(&good, &active, fault);
+                for (w, &word) in mask.iter().enumerate() {
+                    let mut m = word;
+                    while m != 0 {
+                        let bit = m.trailing_zeros() as usize;
+                        visit(blk_idx * BLOCK_BITS + w * 64 + bit, fi);
+                        m &= m - 1;
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -697,18 +711,6 @@ pub fn detection_counts_threaded(
     jobs: usize,
 ) -> Result<Vec<u32>, AtpgError> {
     let proto = FaultSimulator::new(circuit)?;
-    if narrow_forced() {
-        return run_sharded(proto, faults, jobs, &NullSink, |fsim, shard| {
-            let mut counts = vec![0u32; shard.len()];
-            for chunk in patterns.chunks(64) {
-                let masks = fsim.detection_masks(chunk, shard)?;
-                for (c, m) in counts.iter_mut().zip(masks) {
-                    *c += m.count_ones();
-                }
-            }
-            Ok(counts)
-        });
-    }
     let blocks = good_block_sweep(&proto, patterns)?;
     run_sharded(proto, faults, jobs, &NullSink, |fsim, shard| {
         let mut counts = vec![0u32; shard.len()];
@@ -796,20 +798,6 @@ fn detected_faults_via_sink(
     jobs: usize,
     sink: &dyn MetricsSink,
 ) -> Result<Vec<bool>, AtpgError> {
-    if narrow_forced() {
-        return run_sharded(proto, faults, jobs, sink, |fsim, shard| {
-            let mut detected = vec![false; shard.len()];
-            for chunk in patterns.chunks(64) {
-                let masks = fsim.detection_masks(chunk, shard)?;
-                for (d, m) in detected.iter_mut().zip(masks) {
-                    if m != 0 {
-                        *d = true;
-                    }
-                }
-            }
-            Ok(detected)
-        });
-    }
     let blocks = good_block_sweep(&proto, patterns)?;
     run_sharded(proto, faults, jobs, sink, |fsim, shard| {
         let mut detected = vec![false; shard.len()];
@@ -859,8 +847,63 @@ pub fn detection_masks_threaded(
     )
 }
 
+/// Fixtures shared by the wide-vs-narrow oracle tests of every blocked
+/// sweep (here and in the compaction, diagnosis, TDF and BIST modules).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Pattern counts straddling every tail that matters: one slot, the
+    /// 64-bit word boundary, and the 512-pattern block boundary.
+    pub(crate) const PATTERN_COUNTS: [usize; 6] = [1, 63, 64, 65, 512, 513];
+
+    /// Deterministic mixed-density pattern generator.
+    pub(crate) fn cyc_patterns(inputs: usize, count: usize) -> Vec<Vec<bool>> {
+        (0..count)
+            .map(|k| {
+                (0..inputs)
+                    .map(|i| (k * 31 + i * 7 + (k >> 3)) % 5 < 2)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A circuitgen-generated scan core (the generator family the
+    /// benches and experiments run on).
+    pub(crate) fn generated_model() -> modsoc_netlist::TestModel {
+        modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s713(11))
+            .unwrap()
+            .to_test_model()
+            .unwrap()
+    }
+
+    impl FaultSimulator<'_> {
+        /// Single-word reference for
+        /// [`FaultSimulator::for_each_detection`]: the same visits, swept
+        /// 64 patterns at a time through [`FaultSimulator::detection_masks`].
+        pub(crate) fn for_each_detection_narrow(
+            &mut self,
+            patterns: &[Vec<bool>],
+            faults: &[Fault],
+            mut visit: impl FnMut(usize, usize),
+        ) -> Result<(), AtpgError> {
+            for (chunk_idx, chunk) in patterns.chunks(64).enumerate() {
+                let masks = self.detection_masks(chunk, faults)?;
+                for (fi, mut m) in masks.into_iter().enumerate() {
+                    while m != 0 {
+                        visit(chunk_idx * 64 + m.trailing_zeros() as usize, fi);
+                        m &= m - 1;
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{cyc_patterns, generated_model};
     use super::*;
     use crate::fault::enumerate_faults;
     use modsoc_netlist::bench_format::parse_bench;
@@ -946,17 +989,6 @@ g23 = NAND(g16, g19)
             c.mark_output(p);
         }
         c
-    }
-
-    /// Deterministic mixed-density pattern generator.
-    fn cyc_patterns(inputs: usize, count: usize) -> Vec<Vec<bool>> {
-        (0..count)
-            .map(|k| {
-                (0..inputs)
-                    .map(|i| (k * 31 + i * 7 + (k >> 3)) % 5 < 2)
-                    .collect()
-            })
-            .collect()
     }
 
     /// Narrow reference sweep: per-fault detected flags and detection
@@ -1244,9 +1276,7 @@ g23 = NAND(g16, g19)
     /// generator family the benches and experiments run on).
     #[test]
     fn blocked_matches_narrow_on_generated_core() {
-        let core =
-            modsoc_circuitgen::generate(&modsoc_circuitgen::profile::iscas::s713(11)).unwrap();
-        let model = core.to_test_model().unwrap();
+        let model = generated_model();
         let c = &model.circuit;
         let faults: Vec<Fault> = enumerate_faults(c).into_iter().take(300).collect();
         let patterns = cyc_patterns(c.input_count(), 130);
@@ -1262,6 +1292,28 @@ g23 = NAND(g16, g19)
                 ref_counts,
                 "jobs={jobs}"
             );
+        }
+    }
+
+    /// The blocked detection visitor vs its single-word reference: the
+    /// same set of (pattern, fault) pairs.
+    #[test]
+    fn for_each_detection_matches_narrow() {
+        let model = generated_model();
+        let c = &model.circuit;
+        let faults: Vec<Fault> = enumerate_faults(c).into_iter().take(200).collect();
+        let mut fsim = FaultSimulator::new(c).unwrap();
+        for count in oracle::PATTERN_COUNTS {
+            let patterns = cyc_patterns(c.input_count(), count);
+            let (mut wide, mut narrow) = (Vec::new(), Vec::new());
+            fsim.for_each_detection(&patterns, &faults, |p, f| wide.push((p, f)))
+                .unwrap();
+            fsim.for_each_detection_narrow(&patterns, &faults, |p, f| narrow.push((p, f)))
+                .unwrap();
+            wide.sort_unstable();
+            narrow.sort_unstable();
+            assert!(!wide.is_empty(), "count={count}");
+            assert_eq!(wide, narrow, "count={count}");
         }
     }
 

@@ -23,15 +23,12 @@ use modsoc_netlist::{Circuit, GateKind, NodeId, TestModel, TestPoint};
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{
-    active_mask, block_active_mask, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS,
-};
+use crate::fault_sim::{block_active_mask, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS};
 use crate::pattern::{FillStrategy, TestSet};
 use crate::podem::{Podem, PodemOutcome};
 
 /// A transition-delay fault on a test-model line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransitionFault {
     /// The faulted node in the (single-frame) test model.
     pub site: NodeId,
@@ -227,7 +224,6 @@ impl TdfResult {
 
 /// Which launch scheme to generate transition tests for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LaunchScheme {
     /// Launch-on-capture: frame 2 is the functional image of frame 1.
     #[default]
@@ -493,25 +489,6 @@ fn run_tdf_over(
     })
 }
 
-/// Whether `patterns` (fully specified, unrolled-input order) detect the
-/// transition fault: the frame-2 stuck-at mask gated by the frame-1
-/// initialization condition.
-fn tdf_detected(
-    fsim: &mut FaultSimulator<'_>,
-    two: &TwoFrame,
-    tf: &TransitionFault,
-    patterns: &[Vec<bool>],
-) -> Result<bool, AtpgError> {
-    for chunk in patterns.chunks(64) {
-        let (good, n) = fsim.good_values(chunk)?;
-        let active = active_mask(n);
-        if tdf_mask(fsim, two, tf, &good, active) != 0 {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
 /// Per-slot detection mask of one transition fault against a batch whose
 /// good values are already computed: the frame-2 stuck-at mask gated by
 /// the frame-1 initialization word.
@@ -567,18 +544,10 @@ pub fn tdf_coverage(
     let faults = enumerate_transition_faults(&model.circuit);
     let two = unroll_two_frames(model)?;
     let mut fsim = FaultSimulator::new(&two.circuit)?;
-    if crate::fault_sim::narrow_forced() {
-        let mut flags = Vec::with_capacity(faults.len());
-        for tf in &faults {
-            flags.push(tdf_detected(&mut fsim, &two, tf, patterns)?);
-        }
-        return Ok((faults, flags));
-    }
-    // Wide kernel: the two-frame good values are evaluated once per
-    // 512-pattern block and streamed against every still-undetected
-    // fault (blocks outer, faults inner — the same cache blocking as
-    // the stuck-at sweeps; the old path re-simulated the good circuit
-    // per fault per chunk).
+    // The two-frame good values are evaluated once per 512-pattern
+    // block and streamed against every still-undetected fault (blocks
+    // outer, faults inner — the same cache blocking as the stuck-at
+    // sweeps).
     let mut flags = vec![false; faults.len()];
     for chunk in patterns.chunks(BLOCK_BITS) {
         let (good, n) = fsim.good_blocks(chunk)?;
@@ -598,7 +567,27 @@ pub fn tdf_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault_sim::active_mask;
     use modsoc_netlist::bench_format::parse_bench;
+
+    /// Whether `patterns` (fully specified, unrolled-input order) detect the
+    /// transition fault: the frame-2 stuck-at mask gated by the frame-1
+    /// initialization condition.
+    fn tdf_detected(
+        fsim: &mut FaultSimulator<'_>,
+        two: &TwoFrame,
+        tf: &TransitionFault,
+        patterns: &[Vec<bool>],
+    ) -> Result<bool, AtpgError> {
+        for chunk in patterns.chunks(64) {
+            let (good, n) = fsim.good_values(chunk)?;
+            let active = active_mask(n);
+            if tdf_mask(fsim, two, tf, &good, active) != 0 {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 
     /// A small sequential circuit with a controllable transition path:
     /// the scan cell drives an AND observed at the output.
@@ -615,6 +604,26 @@ y = AND(f1, b)
 ",
         )
         .unwrap()
+    }
+
+    /// Blocked `tdf_coverage` flags vs the single-word per-fault
+    /// reference ([`tdf_detected`]) on a generated scan core.
+    #[test]
+    fn tdf_coverage_matches_narrow() {
+        use crate::fault_sim::oracle::{cyc_patterns, generated_model, PATTERN_COUNTS};
+        let model = generated_model();
+        let two = unroll_two_frames(&model).unwrap();
+        let mut fsim = FaultSimulator::new(&two.circuit).unwrap();
+        for count in PATTERN_COUNTS {
+            let patterns = cyc_patterns(two.circuit.input_count(), count);
+            let (faults, flags) = tdf_coverage(&model, &patterns).unwrap();
+            let narrow: Vec<bool> = faults
+                .iter()
+                .map(|tf| tdf_detected(&mut fsim, &two, tf, &patterns).unwrap())
+                .collect();
+            assert!(flags.iter().any(|&f| f), "count={count}");
+            assert_eq!(flags, narrow, "count={count}");
+        }
     }
 
     #[test]

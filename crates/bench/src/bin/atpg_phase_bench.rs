@@ -11,7 +11,7 @@
 //! * `--json <path>` writes the measurements as a JSON document so
 //!   successive runs can be diffed; the checked-in `BENCH_pr7.json`
 //!   records the numbers at the time the wide-word fault-sim kernel
-//!   landed (`BENCH_pr3.json` is the older incremental-PODEM baseline).
+//!   landed.
 //! * `--check <baseline.json>` re-runs the benchmark and compares each
 //!   profile's phase times against the baseline document: any phase more
 //!   than `--tolerance` (default 0.25 = +25%) slower, or any drift in

@@ -10,9 +10,10 @@
 
 use modsoc_circuitgen::SocNetlist;
 use modsoc_core::analysis::SocTdvAnalysis;
-use modsoc_core::experiment::{run_soc_experiment, ExperimentOptions, SocExperiment};
+use modsoc_core::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
+use modsoc_core::runctl::{CoreOutcome, CoreOutcomeKind};
 use modsoc_core::tdv::TdvOptions;
-use modsoc_core::AnalysisError;
+use modsoc_core::{AnalysisError, RunBudget};
 
 /// Percent difference of `ours` versus `paper`.
 #[must_use]
@@ -46,13 +47,14 @@ pub fn jobs_from_args(args: &[String]) -> Result<usize, String> {
 ///
 /// # Errors
 ///
-/// Propagates experiment errors.
+/// Propagates experiment errors and fails when any core (or the
+/// monolithic run) failed.
 pub fn run_live_soc(
     label: &str,
     netlist: &SocNetlist,
     paper_ratio: f64,
     paper_pessimistic: f64,
-) -> Result<SocExperiment, AnalysisError> {
+) -> Result<SocExperiment, Box<dyn std::error::Error>> {
     run_live_soc_opts(
         label,
         netlist,
@@ -67,19 +69,28 @@ pub fn run_live_soc(
 ///
 /// # Errors
 ///
-/// Propagates experiment errors.
+/// As [`run_live_soc`].
 pub fn run_live_soc_opts(
     label: &str,
     netlist: &SocNetlist,
     paper_ratio: f64,
     paper_pessimistic: f64,
     options: &ExperimentOptions,
-) -> Result<SocExperiment, AnalysisError> {
+) -> Result<SocExperiment, Box<dyn std::error::Error>> {
     eprintln!(
         "[{label}] running per-core ATPG ({} jobs) + flattened monolithic ATPG ...",
         modsoc_core::parallel::effective_jobs(options.jobs)
     );
-    let exp = run_soc_experiment(netlist, options)?;
+    let completion = run_soc_experiment_guarded(netlist, options, &RunBudget::unlimited())?;
+    if let Some(CoreOutcome {
+        core,
+        kind: CoreOutcomeKind::Failed(failure),
+        ..
+    }) = completion.failed_cores().first()
+    {
+        return Err(format!("[{label}] {core} {failure}").into());
+    }
+    let exp = completion.result;
     println!("== {label}: live regeneration (synthetic ISCAS'89 lookalikes) ==");
     println!(
         "{}",

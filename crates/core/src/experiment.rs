@@ -19,7 +19,7 @@ use modsoc_atpg::{Atpg, AtpgOptions, AtpgResult};
 use modsoc_circuitgen::SocNetlist;
 use modsoc_metrics::{MetricsSink, NullSink, Phase, PhaseTimer};
 use modsoc_netlist::Circuit;
-use modsoc_soc::{CoreSpec, Soc};
+use modsoc_soc::{CoreId, CoreSpec, Soc};
 use modsoc_store::ResultStore;
 
 use crate::analysis::SocTdvAnalysis;
@@ -158,8 +158,8 @@ impl ExperimentOptions {
     /// Run one engine job through the configured store (cache fetch +
     /// write-back), or directly when no store is attached. The single
     /// seam every experiment entry point funnels engine runs through, so
-    /// `--store` behaves identically for per-core, monolithic, plain,
-    /// guarded, and metered paths.
+    /// `--store` behaves identically for per-core, monolithic, guarded
+    /// and metered paths.
     pub(crate) fn run_engine(
         &self,
         engine: &Atpg,
@@ -210,47 +210,33 @@ pub struct SocExperiment {
     pub eq2_strict: bool,
 }
 
-/// Dispatch one ATPG job per core across the pool, preserving core-index
-/// order in the returned vector.
-fn map_cores<T: Send>(
-    netlist: &SocNetlist,
-    jobs: usize,
-    run_core: impl Fn(usize, &Circuit) -> T + Sync,
-) -> Vec<T> {
-    WorkerPool::new(jobs.max(1)).map(netlist.cores(), run_core)
+/// An experiment under assembly: the SOC model's leaf cores and their
+/// measurements, in core-index order.
+struct Assembly {
+    soc: Soc,
+    children: Vec<CoreId>,
+    cores: Vec<CoreMeasurement>,
 }
 
-/// Run the full modular-vs-monolithic experiment on a structural SOC.
-///
-/// # Errors
-///
-/// Propagates netlist flattening and ATPG errors (the error of the
-/// lowest-indexed failing core, matching the sequential run).
-pub fn run_soc_experiment(
-    netlist: &SocNetlist,
-    options: &ExperimentOptions,
-) -> Result<SocExperiment, AnalysisError> {
-    let engine = Atpg::new(options.atpg.clone());
-    let budget = RunBudget::unlimited();
+impl Assembly {
+    fn new(name: impl Into<String>, capacity: usize) -> Assembly {
+        Assembly {
+            soc: Soc::new(name),
+            children: Vec::with_capacity(capacity),
+            cores: Vec::with_capacity(capacity),
+        }
+    }
 
-    // Modular phase: every core stand-alone, dispatched across the pool.
-    let results = map_cores(netlist, options.jobs, |_, circuit| {
-        options.run_engine(&engine, circuit, &budget)
-    });
-
-    let mut soc = Soc::new(netlist.name());
-    let mut cores = Vec::with_capacity(netlist.cores().len());
-    let mut children = Vec::with_capacity(netlist.cores().len());
-    for (circuit, result) in netlist.cores().iter().zip(results) {
-        let result = result?;
-        let patterns = result.pattern_count() as u64;
-        cores.push(CoreMeasurement {
-            name: circuit.name().to_string(),
-            patterns,
-            fault_coverage: result.fault_coverage(),
-            stats: result.stats,
-        });
-        let id = soc.add_core(CoreSpec::leaf(
+    /// Add `circuit` as a leaf core charged with its measured pattern
+    /// count.
+    fn add_core(
+        &mut self,
+        circuit: &Circuit,
+        patterns: u64,
+        fault_coverage: f64,
+        stats: modsoc_atpg::AtpgStats,
+    ) -> Result<(), AnalysisError> {
+        let id = self.soc.add_core(CoreSpec::leaf(
             circuit.name(),
             circuit.input_count() as u64,
             circuit.output_count() as u64,
@@ -258,42 +244,57 @@ pub fn run_soc_experiment(
             circuit.dff_count() as u64,
             patterns,
         ))?;
-        children.push(id);
+        self.children.push(id);
+        self.cores.push(CoreMeasurement {
+            name: circuit.name().to_string(),
+            patterns,
+            fault_coverage,
+            stats,
+        });
+        Ok(())
     }
-    soc.add_core(CoreSpec::parent(
-        "top",
-        netlist.chip_input_count() as u64,
-        netlist.chip_output_count() as u64,
-        0,
-        0,
-        options.glue_patterns,
-        children,
-    ))?;
 
-    // Monolithic phase: flatten and re-run ATPG.
-    let max_core = soc.max_core_patterns();
-    let (t_mono_raw, mono_coverage) = if options.monolithic {
-        let flat = netlist.flatten()?;
-        let mono = options.run_engine(&engine, &flat, &budget)?;
-        (mono.pattern_count() as u64, mono.fault_coverage())
-    } else {
-        (max_core, 0.0)
-    };
-    let eq2_strict = t_mono_raw > max_core;
-    // Equation 2 guarantees T_mono ≥ max core count for a *consistent*
-    // compaction; independent ATPG runs can rarely dip below, so clamp
-    // for the accounting (and report the raw value via `t_mono`).
-    let t_mono = t_mono_raw.max(max_core);
-
-    let analysis = SocTdvAnalysis::compute_with_measured_tmono(&soc, &options.tdv, t_mono)?;
-    Ok(SocExperiment {
-        soc,
-        analysis,
-        cores,
-        t_mono: t_mono_raw,
-        mono_coverage,
-        eq2_strict,
-    })
+    /// Glue the `top` core (chip pins, [`ExperimentOptions::glue_patterns`])
+    /// over the leaves, clamp the monolithic count to Equation 2 and run
+    /// the Eq. 1–8 accounting. `mono` is the flattened run's measured
+    /// `(patterns, coverage)`; `None` (skipped or failed) falls back to
+    /// the Equation 2 optimistic bound `T_mono = max_i T_i`.
+    fn finish(
+        mut self,
+        netlist: &SocNetlist,
+        options: &ExperimentOptions,
+        mono: Option<(u64, f64)>,
+        sink: &dyn MetricsSink,
+    ) -> Result<SocExperiment, AnalysisError> {
+        self.soc.add_core(CoreSpec::parent(
+            "top",
+            netlist.chip_input_count() as u64,
+            netlist.chip_output_count() as u64,
+            0,
+            0,
+            options.glue_patterns,
+            self.children,
+        ))?;
+        let max_core = self.soc.max_core_patterns();
+        let (t_mono_raw, mono_coverage) = mono.unwrap_or((max_core, 0.0));
+        let eq2_strict = t_mono_raw > max_core;
+        // Equation 2 guarantees T_mono ≥ max core count for a *consistent*
+        // compaction; independent ATPG runs can rarely dip below, so clamp
+        // for the accounting (and report the raw value via `t_mono`).
+        let t_mono = t_mono_raw.max(max_core);
+        let analysis = {
+            let _t = PhaseTimer::start(sink, Phase::TdvAnalysis);
+            SocTdvAnalysis::compute_with_measured_tmono(&self.soc, &options.tdv, t_mono)?
+        };
+        Ok(SocExperiment {
+            soc: self.soc,
+            analysis,
+            cores: self.cores,
+            t_mono: t_mono_raw,
+            mono_coverage,
+            eq2_strict,
+        })
+    }
 }
 
 /// Run the modular-vs-monolithic experiment under a [`RunBudget`] with
@@ -312,6 +313,10 @@ pub fn run_soc_experiment(
 /// or is skipped, the accounting falls back to the Equation 2 optimistic
 /// bound `T_mono = max_i T_i`.
 ///
+/// Callers that need every core to succeed check
+/// [`Completion::is_complete`] or [`Completion::failed_cores`]; pass
+/// [`RunBudget::unlimited`] for an unbudgeted run.
+///
 /// # Errors
 ///
 /// Errors only when *nothing* analyzable remains: every core failed, or
@@ -324,46 +329,29 @@ pub fn run_soc_experiment_guarded(
     budget: &RunBudget,
 ) -> Result<Completion<SocExperiment>, AnalysisError> {
     let engine = Atpg::new(options.atpg.clone());
-    run_soc_experiment_guarded_with(netlist, options, budget, |_, circuit| {
-        options.run_engine(&engine, circuit, budget)
-    })
-}
-
-/// [`run_soc_experiment_guarded`] with a caller-supplied per-core ATPG
-/// function — the chaos/fault-injection seam. `run_core(i, circuit)` is
-/// invoked once per core on a pool worker; panics and errors it raises
-/// are contained to that core's [`CoreOutcome`] exactly like engine
-/// failures, which is how the test suite injects deterministic per-core
-/// panics and verifies `jobs=1`/`jobs=4` report equality.
-///
-/// # Errors
-///
-/// As [`run_soc_experiment_guarded`].
-pub fn run_soc_experiment_guarded_with<F>(
-    netlist: &SocNetlist,
-    options: &ExperimentOptions,
-    budget: &RunBudget,
-    run_core: F,
-) -> Result<Completion<SocExperiment>, AnalysisError>
-where
-    F: Fn(usize, &Circuit) -> Result<AtpgResult, AnalysisError> + Sync,
-{
-    let engine = Atpg::new(options.atpg.clone());
-    run_soc_experiment_guarded_full(netlist, options, budget, &NullSink, run_core, |flat| {
-        options.run_engine(&engine, flat, budget)
-    })
+    run_soc_experiment_guarded_full(
+        netlist,
+        options,
+        budget,
+        &NullSink,
+        |_, circuit| options.run_engine(&engine, circuit, budget),
+        |flat| options.run_engine(&engine, flat, budget),
+    )
 }
 
 /// The fully-injectable guarded pipeline behind
-/// [`run_soc_experiment_guarded_with`]: both the per-core and the
-/// monolithic ATPG functions are caller-supplied, and pipeline-level
-/// observability (modular dispatch / flatten / monolithic / TDV analysis
-/// phase timings, pool utilization) reports into `sink`. This is the
-/// seam the metered experiment runner
-/// ([`crate::metrics::run_soc_experiment_metered`]) uses to give every
-/// core its own recording sink while keeping one pipeline sink for the
-/// dispatch phases. Results are byte-identical to
-/// [`run_soc_experiment_guarded_with`] for the same closures.
+/// [`run_soc_experiment_guarded`]: both the per-core and the monolithic
+/// ATPG functions are caller-supplied, and pipeline-level observability
+/// (modular dispatch / flatten / monolithic / TDV analysis phase
+/// timings, pool utilization) reports into `sink`. `run_core(i,
+/// circuit)` is invoked once per core on a pool worker; panics and
+/// errors it raises are contained to that core's [`CoreOutcome`] exactly
+/// like engine failures — the chaos/fault-injection seam the test suite
+/// uses for deterministic per-core panics. The metered experiment
+/// runner ([`crate::metrics::run_soc_experiment_metered`]) uses it to
+/// give every core its own recording sink while keeping one pipeline
+/// sink for the dispatch phases. Results are byte-identical to
+/// [`run_soc_experiment_guarded`] for the same closures.
 ///
 /// # Errors
 ///
@@ -382,6 +370,30 @@ where
 {
     let mut exhausted = None;
     let mut outcomes: Vec<CoreOutcome> = Vec::new();
+    // Record one guarded engine run's outcome row; a budget-partial run
+    // also marks the whole completion exhausted.
+    let mut record = |core: String, result: &Result<AtpgResult, CoreFailure>| {
+        let (kind, patterns, fault_coverage) = match result {
+            Ok(result) => {
+                let kind = match &result.exhausted {
+                    Some(e) => {
+                        exhausted.get_or_insert_with(|| e.clone());
+                        CoreOutcomeKind::Partial(e.clone())
+                    }
+                    None => CoreOutcomeKind::Complete,
+                };
+                let patterns = result.pattern_count() as u64;
+                (kind, Some(patterns), Some(result.fault_coverage()))
+            }
+            Err(failure) => (CoreOutcomeKind::Failed(failure.clone()), None, None),
+        };
+        outcomes.push(CoreOutcome {
+            core,
+            kind,
+            patterns,
+            fault_coverage,
+        });
+    };
 
     // Modular phase: every core stand-alone, each isolated, dispatched
     // across the pool. The jobs only touch per-core state (plus the
@@ -405,128 +417,43 @@ where
     drop(dispatch_timer);
 
     // Order-preserving merge, in core-index order.
-    let mut soc = Soc::new(netlist.name());
-    let mut cores = Vec::with_capacity(netlist.cores().len());
-    let mut children = Vec::with_capacity(netlist.cores().len());
+    let mut assembly = Assembly::new(netlist.name(), netlist.cores().len());
     for (circuit, core_result) in netlist.cores().iter().zip(results) {
-        let name = circuit.name().to_string();
-        match core_result {
-            Ok(result) => {
-                let patterns = result.pattern_count() as u64;
-                let kind = match &result.exhausted {
-                    Some(e) => {
-                        if exhausted.is_none() {
-                            exhausted = Some(e.clone());
-                        }
-                        CoreOutcomeKind::Partial(e.clone())
-                    }
-                    None => CoreOutcomeKind::Complete,
-                };
-                outcomes.push(CoreOutcome {
-                    core: name.clone(),
-                    kind,
-                    patterns: Some(patterns),
-                    fault_coverage: Some(result.fault_coverage()),
-                });
-                cores.push(CoreMeasurement {
-                    name,
-                    patterns,
-                    fault_coverage: result.fault_coverage(),
-                    stats: result.stats,
-                });
-                let id = soc.add_core(CoreSpec::leaf(
-                    circuit.name(),
-                    circuit.input_count() as u64,
-                    circuit.output_count() as u64,
-                    0,
-                    circuit.dff_count() as u64,
-                    patterns,
-                ))?;
-                children.push(id);
-            }
-            Err(failure) => outcomes.push(CoreOutcome {
-                core: name,
-                kind: CoreOutcomeKind::Failed(failure),
-                patterns: None,
-                fault_coverage: None,
-            }),
+        record(circuit.name().to_string(), &core_result);
+        if let Ok(result) = core_result {
+            assembly.add_core(
+                circuit,
+                result.pattern_count() as u64,
+                result.fault_coverage(),
+                result.stats,
+            )?;
         }
     }
-    if children.is_empty() {
+    if assembly.cores.is_empty() {
         // Nothing survived; there is no analyzable SOC model.
         return Err(AnalysisError::Soc(modsoc_soc::SocError::Empty));
     }
-    soc.add_core(CoreSpec::parent(
-        "top",
-        netlist.chip_input_count() as u64,
-        netlist.chip_output_count() as u64,
-        0,
-        0,
-        options.glue_patterns,
-        children,
-    ))?;
 
     // Monolithic phase, isolated the same way.
-    let max_core = soc.max_core_patterns();
-    let (t_mono_raw, mono_coverage) = if options.monolithic {
-        let mono = guard_result(|| {
+    let mono = options.monolithic.then(|| {
+        guard_result(|| {
             let flat = {
                 let _t = PhaseTimer::start(sink, Phase::Flatten);
                 netlist.flatten()?
             };
             let _t = PhaseTimer::start(sink, Phase::MonolithicAtpg);
             run_mono(&flat)
-        });
-        match mono {
-            Ok(result) => {
-                let patterns = result.pattern_count() as u64;
-                let kind = match &result.exhausted {
-                    Some(e) => {
-                        if exhausted.is_none() {
-                            exhausted = Some(e.clone());
-                        }
-                        CoreOutcomeKind::Partial(e.clone())
-                    }
-                    None => CoreOutcomeKind::Complete,
-                };
-                outcomes.push(CoreOutcome {
-                    core: "<monolithic>".to_string(),
-                    kind,
-                    patterns: Some(patterns),
-                    fault_coverage: Some(result.fault_coverage()),
-                });
-                (patterns, result.fault_coverage())
-            }
-            Err(failure) => {
-                outcomes.push(CoreOutcome {
-                    core: "<monolithic>".to_string(),
-                    kind: CoreOutcomeKind::Failed(failure),
-                    patterns: None,
-                    fault_coverage: None,
-                });
-                // Fall back to the Equation 2 optimistic bound.
-                (max_core, 0.0)
-            }
-        }
-    } else {
-        (max_core, 0.0)
-    };
-    let eq2_strict = t_mono_raw > max_core;
-    let t_mono = t_mono_raw.max(max_core);
+        })
+    });
+    let mono = mono.and_then(|result| {
+        record("<monolithic>".to_string(), &result);
+        result
+            .ok()
+            .map(|r| (r.pattern_count() as u64, r.fault_coverage()))
+    });
 
-    let analysis = {
-        let _t = PhaseTimer::start(sink, Phase::TdvAnalysis);
-        SocTdvAnalysis::compute_with_measured_tmono(&soc, &options.tdv, t_mono)?
-    };
     Ok(Completion {
-        result: SocExperiment {
-            soc,
-            analysis,
-            cores,
-            t_mono: t_mono_raw,
-            mono_coverage,
-            eq2_strict,
-        },
+        result: assembly.finish(netlist, options, mono, sink)?,
         exhausted,
         per_core_outcomes: outcomes,
     })
@@ -547,68 +474,34 @@ pub fn run_soc_experiment_tdf(
 ) -> Result<SocExperiment, AnalysisError> {
     use modsoc_atpg::tdf::run_tdf_atpg;
 
-    let results = map_cores(netlist, options.jobs, |_, circuit| {
+    let results = WorkerPool::new(options.jobs.max(1)).map(netlist.cores(), |_, circuit| {
         run_tdf_atpg(circuit, backtrack_limit)
     });
 
-    let mut soc = Soc::new(format!("{}.atspeed", netlist.name()));
-    let mut cores = Vec::with_capacity(netlist.cores().len());
-    let mut children = Vec::with_capacity(netlist.cores().len());
+    let mut assembly = Assembly::new(format!("{}.atspeed", netlist.name()), netlist.cores().len());
     for (circuit, result) in netlist.cores().iter().zip(results) {
         let result = result?;
-        let patterns = result.patterns.len() as u64;
-        cores.push(CoreMeasurement {
-            name: circuit.name().to_string(),
-            patterns,
-            fault_coverage: result.coverage(),
-            stats: modsoc_atpg::AtpgStats {
+        assembly.add_core(
+            circuit,
+            result.patterns.len() as u64,
+            result.coverage(),
+            modsoc_atpg::AtpgStats {
                 collapsed_faults: result.total,
                 detected: result.detected,
                 aborted: result.aborted,
                 final_patterns: result.patterns.len(),
                 ..modsoc_atpg::AtpgStats::default()
             },
-        });
-        let id = soc.add_core(CoreSpec::leaf(
-            circuit.name(),
-            circuit.input_count() as u64,
-            circuit.output_count() as u64,
-            0,
-            circuit.dff_count() as u64,
-            patterns,
-        ))?;
-        children.push(id);
+        )?;
     }
-    soc.add_core(CoreSpec::parent(
-        "top",
-        netlist.chip_input_count() as u64,
-        netlist.chip_output_count() as u64,
-        0,
-        0,
-        options.glue_patterns,
-        children,
-    ))?;
 
-    let max_core = soc.max_core_patterns();
-    let (t_mono_raw, mono_coverage) = if options.monolithic {
-        let flat = netlist.flatten()?;
-        let mono = run_tdf_atpg(&flat, backtrack_limit)?;
-        (mono.patterns.len() as u64, mono.coverage())
+    let mono = if options.monolithic {
+        let mono = run_tdf_atpg(&netlist.flatten()?, backtrack_limit)?;
+        Some((mono.patterns.len() as u64, mono.coverage()))
     } else {
-        (max_core, 0.0)
+        None
     };
-    let eq2_strict = t_mono_raw > max_core;
-    let t_mono = t_mono_raw.max(max_core);
-
-    let analysis = SocTdvAnalysis::compute_with_measured_tmono(&soc, &options.tdv, t_mono)?;
-    Ok(SocExperiment {
-        soc,
-        analysis,
-        cores,
-        t_mono: t_mono_raw,
-        mono_coverage,
-        eq2_strict,
-    })
+    assembly.finish(netlist, options, mono, &NullSink)
 }
 
 #[cfg(test)]
@@ -616,10 +509,30 @@ mod tests {
     use super::*;
     use modsoc_circuitgen::soc::mini_soc;
 
+    /// An unbudgeted guarded run that must complete on every core.
+    fn run_complete(netlist: &SocNetlist, options: &ExperimentOptions) -> SocExperiment {
+        let completion =
+            run_soc_experiment_guarded(netlist, options, &RunBudget::unlimited()).unwrap();
+        assert!(
+            completion.is_complete(),
+            "{:?}",
+            completion.per_core_outcomes
+        );
+        completion.result
+    }
+
+    /// The engine-backed per-core and monolithic closures of
+    /// [`run_soc_experiment_guarded`], for tests that wrap one of them.
+    fn engine_run(engine: &Atpg, circuit: &Circuit) -> Result<AtpgResult, AnalysisError> {
+        engine
+            .run_budgeted(circuit, &RunBudget::unlimited())
+            .map_err(AnalysisError::from)
+    }
+
     #[test]
     fn mini_soc_experiment_end_to_end() {
         let netlist = mini_soc(7).unwrap();
-        let exp = run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
+        let exp = run_complete(&netlist, &ExperimentOptions::paper_tables_1_2());
         assert_eq!(exp.cores.len(), 2);
         for c in &exp.cores {
             assert!(c.fault_coverage > 0.9, "{}: {}", c.name, c.fault_coverage);
@@ -634,65 +547,19 @@ mod tests {
     }
 
     #[test]
-    fn experiment_is_deterministic() {
-        let netlist = mini_soc(7).unwrap();
-        let o = ExperimentOptions::paper_tables_1_2();
-        let a = run_soc_experiment(&netlist, &o).unwrap();
-        let b = run_soc_experiment(&netlist, &o).unwrap();
-        assert_eq!(a.t_mono, b.t_mono);
-        assert_eq!(
-            a.cores.iter().map(|c| c.patterns).collect::<Vec<_>>(),
-            b.cores.iter().map(|c| c.patterns).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn parallel_experiment_matches_sequential() {
-        let netlist = mini_soc(7).unwrap();
-        let sequential =
-            run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
-        for jobs in [0, 2, 4] {
-            let parallel = run_soc_experiment(
-                &netlist,
-                &ExperimentOptions::paper_tables_1_2().with_jobs(jobs),
-            )
-            .unwrap();
-            assert_eq!(parallel.t_mono, sequential.t_mono, "jobs={jobs}");
-            assert_eq!(parallel.eq2_strict, sequential.eq2_strict);
-            assert_eq!(
-                parallel
-                    .cores
-                    .iter()
-                    .map(|c| c.patterns)
-                    .collect::<Vec<_>>(),
-                sequential
-                    .cores
-                    .iter()
-                    .map(|c| c.patterns)
-                    .collect::<Vec<_>>(),
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
     fn modular_only_uses_equation_2_bound() {
         let netlist = mini_soc(7).unwrap();
-        let exp = run_soc_experiment(
-            &netlist,
-            &ExperimentOptions::paper_tables_1_2().modular_only(),
-        )
-        .unwrap();
-        assert_eq!(exp.t_mono, exp.soc.max_core_patterns());
-        assert!(!exp.eq2_strict);
-        assert_eq!(exp.mono_coverage, 0.0);
-        // And the guarded path skips the pseudo-stage row entirely.
         let guarded = run_soc_experiment_guarded(
             &netlist,
             &ExperimentOptions::paper_tables_1_2().modular_only(),
             &RunBudget::unlimited(),
         )
         .unwrap();
+        let exp = &guarded.result;
+        assert_eq!(exp.t_mono, exp.soc.max_core_patterns());
+        assert!(!exp.eq2_strict);
+        assert_eq!(exp.mono_coverage, 0.0);
+        // And no pseudo-stage row is emitted.
         assert!(guarded
             .per_core_outcomes
             .iter()
@@ -720,7 +587,7 @@ mod tests {
     #[test]
     fn soc_model_mirrors_netlist_interface() {
         let netlist = mini_soc(3).unwrap();
-        let exp = run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
+        let exp = run_complete(&netlist, &ExperimentOptions::paper_tables_1_2());
         let top = exp.soc.find("top").unwrap();
         let t = exp.soc.core(top);
         assert_eq!(t.inputs, netlist.chip_input_count() as u64);
@@ -737,18 +604,18 @@ mod tests {
         let engine = Atpg::new(AtpgOptions::default());
         for jobs in [1, 4] {
             let options = ExperimentOptions::paper_tables_1_2().with_jobs(jobs);
-            let completion = run_soc_experiment_guarded_with(
+            let completion = run_soc_experiment_guarded_full(
                 &netlist,
                 &options,
                 &RunBudget::unlimited(),
+                &NullSink,
                 |i, circuit| {
                     if i == 0 {
                         panic!("injected core panic");
                     }
-                    engine
-                        .run_budgeted(circuit, &RunBudget::unlimited())
-                        .map_err(AnalysisError::from)
+                    engine_run(&engine, circuit)
                 },
+                |flat| engine_run(&engine, flat),
             )
             .unwrap();
             let failed = completion.failed_cores();
@@ -770,17 +637,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(ResultStore::open(&dir).unwrap());
         let netlist = mini_soc(7).unwrap();
-        let baseline =
-            run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).unwrap();
+        let baseline = run_complete(&netlist, &ExperimentOptions::paper_tables_1_2());
 
         let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
-        let cold = run_soc_experiment(&netlist, &options).unwrap();
+        let cold = run_complete(&netlist, &options);
         // Cold: 2 cores + monolithic, all misses, all written.
         assert_eq!((store.hits(), store.misses(), store.writes()), (0, 3, 3));
         assert_eq!(cold.t_mono, baseline.t_mono);
 
         for jobs in [1, 4] {
-            let warm = run_soc_experiment(&netlist, &options.clone().with_jobs(jobs)).unwrap();
+            let warm = run_complete(&netlist, &options.clone().with_jobs(jobs));
             assert_eq!(warm.t_mono, baseline.t_mono, "jobs={jobs}");
             assert_eq!(
                 warm.cores.iter().map(|c| c.patterns).collect::<Vec<_>>(),
@@ -797,8 +663,7 @@ mod tests {
         assert_eq!((store.hits(), store.misses(), store.writes()), (6, 3, 3));
 
         // --no-store-read recomputes (no new hits) but refreshes entries.
-        let refreshed = run_soc_experiment(&netlist, &options.clone().with_store_read(false));
-        assert!(refreshed.is_ok());
+        run_complete(&netlist, &options.clone().with_store_read(false));
         assert_eq!(store.hits(), 6);
         assert_eq!(store.writes(), 6);
         let _ = std::fs::remove_dir_all(&dir);
@@ -811,16 +676,24 @@ mod tests {
             .with_jobs(1)
             .with_fail_fast(true);
         let budget = RunBudget::unlimited();
-        let completion = run_soc_experiment_guarded_with(&netlist, &options, &budget, |i, _| {
-            if i == 0 {
-                return Err(AnalysisError::Soc(modsoc_soc::SocError::Empty));
-            }
-            // A healthy sibling: would succeed, but fail-fast has already
-            // raised the shared cancel flag by the time it runs (jobs=1
-            // ⇒ strictly after core 0).
-            assert!(budget.is_cancelled(), "sibling sees the cancel flag");
-            Err(AnalysisError::Soc(modsoc_soc::SocError::Empty))
-        });
+        let engine = Atpg::new(options.atpg.clone());
+        let completion = run_soc_experiment_guarded_full(
+            &netlist,
+            &options,
+            &budget,
+            &NullSink,
+            |i, _| {
+                if i == 0 {
+                    return Err(AnalysisError::Soc(modsoc_soc::SocError::Empty));
+                }
+                // A healthy sibling: would succeed, but fail-fast has
+                // already raised the shared cancel flag by the time it
+                // runs (jobs=1 ⇒ strictly after core 0).
+                assert!(budget.is_cancelled(), "sibling sees the cancel flag");
+                Err(AnalysisError::Soc(modsoc_soc::SocError::Empty))
+            },
+            |flat| engine_run(&engine, flat),
+        );
         // Both cores failed ⇒ nothing analyzable remains.
         assert!(completion.is_err());
         assert!(budget.is_cancelled());

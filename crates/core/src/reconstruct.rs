@@ -25,7 +25,6 @@ use modsoc_soc::{CoreSpec, Soc, SocError};
 
 /// Aggregates to reconstruct a SOC from.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReconstructionTargets {
     /// SOC name.
     pub name: String,

@@ -297,6 +297,38 @@ mod tests {
     use crate::tdv::TdvOptions;
     use modsoc_soc::{itc02, CoreSpec};
 
+    /// `write_soc` → `parse_soc` is a fixed point on every SOC `modsoc
+    /// tam` sweeps (soc1, soc2 and the ten Table 4 SOCs, p34392 with its
+    /// hierarchy), and the parsed model prints the same analyze report as
+    /// the in-memory one — same rows in the same order.
+    #[test]
+    fn soc_text_round_trip_keeps_the_analyze_report() {
+        use modsoc_soc::format::{parse_soc, write_soc};
+        let mut socs = vec![itc02::soc1(), itc02::soc2()];
+        for row in itc02::table4() {
+            socs.push(if row.name == "p34392" {
+                itc02::p34392()
+            } else {
+                crate::reconstruct::reconstruct_table4(row).unwrap()
+            });
+        }
+        assert_eq!(socs.len(), 12);
+        let options = TdvOptions::tables_3_4();
+        for soc in socs {
+            let text = write_soc(&soc);
+            let parsed = parse_soc(&text).unwrap();
+            assert_eq!(write_soc(&parsed), text, "{} text round trip", soc.name());
+            let report =
+                |s: &Soc| render_analyze_report(s, &SocTdvAnalysis::compute(s, &options).unwrap());
+            assert_eq!(
+                report(&parsed),
+                report(&soc),
+                "{} analyze report",
+                soc.name()
+            );
+        }
+    }
+
     #[test]
     fn thousands_separators() {
         assert_eq!(fmt_u64(0), "0");

@@ -13,7 +13,8 @@
 //!
 //! Children may be listed before or after their definition; the file is
 //! resolved in two phases. Cores are instantiated in an order where
-//! children precede parents, as [`crate::Soc::add_core`] requires.
+//! children precede parents, as [`crate::Soc::add_core`] requires; a
+//! file already in that order keeps it.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -139,7 +140,6 @@ pub fn parse_soc(source: &str) -> Result<Soc, SocError> {
         return Err(SocError::EmptySource);
     }
 
-    // Order: children before parents (Kahn over the child edges).
     let index: HashMap<&str, usize> = lines
         .iter()
         .enumerate()
@@ -156,40 +156,67 @@ pub fn parse_soc(source: &str) -> Result<Soc, SocError> {
             }
         }
     }
-    let mut indegree = vec![0usize; lines.len()];
-    let mut parents_of: Vec<Vec<usize>> = vec![Vec::new(); lines.len()];
-    for (pi, l) in lines.iter().enumerate() {
-        for ch in &l.children {
-            let ci = *index.get(ch.as_str()).ok_or_else(|| SocError::ParseSoc {
-                line: l.lineno,
-                message: format!("child `{ch}` is never defined"),
-            })?;
-            parents_of[ci].push(pi);
-            indegree[pi] += 1;
-        }
+    let mut kids: Vec<Vec<usize>> = Vec::with_capacity(lines.len());
+    for l in &lines {
+        let resolved = l
+            .children
+            .iter()
+            .map(|ch| {
+                index
+                    .get(ch.as_str())
+                    .copied()
+                    .ok_or_else(|| SocError::ParseSoc {
+                        line: l.lineno,
+                        message: format!("child `{ch}` is never defined"),
+                    })
+            })
+            .collect::<Result<Vec<usize>, SocError>>()?;
+        kids.push(resolved);
     }
-    let mut queue: Vec<usize> = (0..lines.len()).filter(|&i| indegree[i] == 0).collect();
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        for &p in &parents_of[v] {
-            indegree[p] -= 1;
-            if indegree[p] == 0 {
-                queue.push(p);
+    // Depth-first post-order, roots and children in file order: a file
+    // already listed children-first keeps its order exactly. Iterative,
+    // so a deep hierarchy cannot overflow the stack.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        New,
+        Open,
+        Done,
+    }
+    let mut mark = vec![Mark::New; lines.len()];
+    let mut order: Vec<usize> = Vec::with_capacity(lines.len());
+    for root in 0..lines.len() {
+        if mark[root] != Mark::New {
+            continue;
+        }
+        mark[root] = Mark::Open;
+        let mut stack = vec![(root, 0usize)];
+        while let Some((v, next)) = stack.last_mut() {
+            let v = *v;
+            if let Some(&c) = kids[v].get(*next) {
+                *next += 1;
+                match mark[c] {
+                    Mark::New => {
+                        mark[c] = Mark::Open;
+                        stack.push((c, 0));
+                    }
+                    Mark::Open => {
+                        return Err(SocError::CyclicHierarchy {
+                            name: lines[c].name.clone(),
+                        })
+                    }
+                    Mark::Done => {}
+                }
+            } else {
+                mark[v] = Mark::Done;
+                order.push(v);
+                stack.pop();
             }
         }
-    }
-    if queue.len() != lines.len() {
-        let stuck = indegree.iter().position(|&d| d > 0).expect("cycle member");
-        return Err(SocError::CyclicHierarchy {
-            name: lines[stuck].name.clone(),
-        });
     }
 
     let mut soc = Soc::new(soc_name.unwrap_or_else(|| "unnamed".to_string()));
     let mut ids: HashMap<&str, CoreId> = HashMap::new();
-    for &li in &queue {
+    for &li in &order {
         let l = &lines[li];
         let children: Vec<CoreId> = l.children.iter().map(|ch| ids[ch.as_str()]).collect();
         let id = soc.add_core(CoreSpec::parent(
@@ -208,8 +235,9 @@ pub fn parse_soc(source: &str) -> Result<Soc, SocError> {
 }
 
 /// Serialize a SOC to the `.soc`-style text form. Round-trips with
-/// [`parse_soc`] (up to core ordering, which is normalized to
-/// children-first).
+/// [`parse_soc`] core for core, in the same order: a [`Soc`] always
+/// lists children before parents, and the parser keeps a file's order
+/// when it is already children-first.
 #[must_use]
 pub fn write_soc(soc: &Soc) -> String {
     let mut out = String::new();

@@ -1,14 +1,24 @@
 //! Integration: the full live pipeline across all crates.
 
-use modsoc::analysis::experiment::{
-    run_soc_experiment, run_soc_experiment_guarded, ExperimentOptions,
-};
+use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
 use modsoc::analysis::RunBudget;
 use modsoc::atpg::fault::enumerate_faults;
 use modsoc::atpg::fault_sim::fault_coverage;
 use modsoc::atpg::{Atpg, AtpgOptions};
 use modsoc::circuitgen::soc::mini_soc;
-use modsoc::circuitgen::{generate, CoreProfile};
+use modsoc::circuitgen::{generate, CoreProfile, SocNetlist};
+
+/// An unbudgeted experiment run that must complete on every core.
+fn run_complete(netlist: &SocNetlist, options: &ExperimentOptions) -> SocExperiment {
+    let completion = run_soc_experiment_guarded(netlist, options, &RunBudget::unlimited())
+        .expect("experiment runs");
+    assert!(
+        completion.is_complete(),
+        "{:?}",
+        completion.per_core_outcomes
+    );
+    completion.result
+}
 
 #[test]
 fn generate_atpg_verify_coverage_independently() {
@@ -41,8 +51,7 @@ fn generate_atpg_verify_coverage_independently() {
 #[test]
 fn mini_soc_experiment_reduction_and_identity() {
     let netlist = mini_soc(7).expect("builds");
-    let exp =
-        run_soc_experiment(&netlist, &ExperimentOptions::paper_tables_1_2()).expect("experiment");
+    let exp = run_complete(&netlist, &ExperimentOptions::paper_tables_1_2());
     let a = &exp.analysis;
     // Equation 6 balances exactly with the exact benefit.
     assert_eq!(
@@ -77,14 +86,27 @@ fn flattened_soc_equivalent_to_cores_on_function() {
     );
 }
 
+/// Repeated runs and any `--jobs` value produce the same experiment: a
+/// jobs-1 run is compared with a second jobs-1 run (on a freshly built
+/// netlist) and with jobs 0 (auto), 2 and 4.
 #[test]
 fn deterministic_across_runs() {
-    let a = run_soc_experiment(&mini_soc(9).expect("builds"), &ExperimentOptions::default())
-        .expect("experiment");
-    let b = run_soc_experiment(&mini_soc(9).expect("builds"), &ExperimentOptions::default())
-        .expect("experiment");
-    assert_eq!(a.t_mono, b.t_mono);
-    assert_eq!(a.analysis.modular().total(), b.analysis.modular().total());
+    let summary = |e: &SocExperiment| {
+        (
+            e.t_mono,
+            e.eq2_strict,
+            e.cores.iter().map(|c| c.patterns).collect::<Vec<_>>(),
+            e.analysis.modular().total(),
+        )
+    };
+    let options = ExperimentOptions::paper_tables_1_2();
+    let first = summary(&run_complete(&mini_soc(9).expect("builds"), &options));
+    let netlist = mini_soc(9).expect("builds");
+    assert_eq!(summary(&run_complete(&netlist, &options)), first, "rerun");
+    for jobs in [0, 2, 4] {
+        let parallel = run_complete(&netlist, &options.clone().with_jobs(jobs));
+        assert_eq!(summary(&parallel), first, "jobs={jobs}");
+    }
 }
 
 #[test]
@@ -108,18 +130,12 @@ fn wrapped_core_tdv_matches_equation_4() {
 }
 
 #[test]
-fn guarded_experiment_with_unlimited_budget_matches_plain() {
+fn guarded_experiment_with_unlimited_budget_reports_every_stage() {
     let netlist = mini_soc(7).expect("builds");
     let options = ExperimentOptions::paper_tables_1_2();
-    let plain = run_soc_experiment(&netlist, &options).expect("plain");
     let guarded =
         run_soc_experiment_guarded(&netlist, &options, &RunBudget::unlimited()).expect("guarded");
     assert!(guarded.is_complete(), "{:?}", guarded.per_core_outcomes);
-    assert_eq!(guarded.result.t_mono, plain.t_mono);
-    assert_eq!(
-        guarded.result.analysis.modular().total(),
-        plain.analysis.modular().total()
-    );
     // One outcome per leaf core plus the monolithic pseudo-stage (the
     // assembled SOC also carries a synthetic `top` parent, so the two
     // counts coincide).

@@ -334,11 +334,15 @@ fn batching_composes_with_coalescing_and_stays_byte_identical() {
     assert!(sequential_writes > 0);
 
     // Concurrent stampede with batching on: a wide window so the
-    // concurrently-arriving compatible units actually group.
+    // concurrently-arriving compatible units actually group. One worker
+    // per request: coalesce followers and batch members each hold a
+    // worker while they wait, so with fewer workers the last request
+    // can sit in its lane until the leader's flight has finished and
+    // then miss the coalesce.
     let dir = temp_dir("batch_mix");
     let store = Arc::new(ResultStore::open(&dir).expect("store"));
     let (addr, stop) = start(ServeConfig {
-        workers: 6,
+        workers: K + DISTINCT.len(),
         batch_max: 4,
         batch_window: Duration::from_millis(150),
         store: Some(Arc::clone(&store)),

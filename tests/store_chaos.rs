@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use modsoc::analysis::campaign::{run_campaign, CampaignSpec, UnitStatus};
-use modsoc::analysis::experiment::{run_soc_experiment, ExperimentOptions, SocExperiment};
+use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
 use modsoc::analysis::RunBudget;
 use modsoc::circuitgen::soc::mini_soc;
 use modsoc::circuitgen::SocNetlist;
@@ -72,10 +72,22 @@ fn assert_same_experiment(a: &SocExperiment, b: &SocExperiment) {
     assert_eq!(a.analysis.modular().total(), b.analysis.modular().total());
 }
 
+/// An unbudgeted experiment run that must complete on every core.
+fn run_complete(netlist: &SocNetlist, options: &ExperimentOptions) -> SocExperiment {
+    let completion = run_soc_experiment_guarded(netlist, options, &RunBudget::unlimited())
+        .expect("experiment runs");
+    assert!(
+        completion.is_complete(),
+        "{:?}",
+        completion.per_core_outcomes
+    );
+    completion.result
+}
+
 fn warm_store(dir: &Path, netlist: &SocNetlist) -> (Arc<ResultStore>, SocExperiment) {
     let store = Arc::new(ResultStore::open(dir).expect("open store"));
     let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
-    let exp = run_soc_experiment(netlist, &options).expect("cold run");
+    let exp = run_complete(netlist, &options);
     (store, exp)
 }
 
@@ -103,7 +115,7 @@ fn truncated_store_entries_are_evicted_and_recomputed() {
 
     // And the refreshed store serves hits again.
     let options = ExperimentOptions::paper_tables_1_2().with_store(Arc::clone(&store));
-    let warm = run_soc_experiment(&netlist, &options).expect("warm run");
+    let warm = run_complete(&netlist, &options);
     assert_same_experiment(&baseline, &warm);
     assert_eq!(store.hits(), 3);
     let _ = std::fs::remove_dir_all(&dir);
