@@ -5,18 +5,15 @@
 # failure.
 #
 # Opt-in extras:
-#   MODSOC_BENCH_GATE=1 ./ci.sh   also runs the perf-regression gates:
-#                                 atpg_phase_bench --check BENCH_pr7.json
-#                                 for the engine, loadgen --check
-#                                 BENCH_serve.json for serving throughput,
-#                                 and tam_pack_bench --check BENCH_tam.json
-#                                 for the rectangle packer.
+#   MODSOC_BENCH_GATE=1 ./ci.sh   also runs the serve throughput gate
+#                                 (loadgen --check BENCH_serve.json).
 #                                 Keep it off on noisy/shared machines; to
 #                                 re-baseline after an intentional perf
-#                                 change, rerun with --json BENCH_pr7.json
-#                                 (engine) or --json BENCH_serve.json
-#                                 (serving, see DESIGN.md §15) and commit
-#                                 the refreshed file.
+#                                 change, rerun loadgen with --json
+#                                 BENCH_serve.json (see DESIGN.md §15) and
+#                                 commit the refreshed file. Engine and
+#                                 TAM timing live in perfbench/ (see
+#                                 BENCHMARK.json).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -49,12 +46,6 @@ echo "== chaos suite (fixed seed)"
 # vendored proptest streams on top so the whole gate is reproducible.
 PROPTEST_SEED=20080310 cargo test -q --test chaos --test parser_fuzz
 
-echo "== criterion bench smoke (--test mode, no timing)"
-# Each bench closure runs exactly once: catches benches that panic or
-# drift out of sync with the library API without paying measurement time.
-cargo bench -q -p modsoc-bench --bench atpg_engine -- --test
-cargo bench -q -p modsoc-bench --bench metrics_overhead -- --test
-
 echo "== CLI smoke runs"
 cargo build -q --release --bin modsoc
 ./target/release/modsoc --version
@@ -65,6 +56,18 @@ grep -q "monolithic ATPG" "$workdir/soc2_smoke.txt" \
 ./target/release/modsoc analyze testdata/soc1.soc --exclude-chip-pins --measured-tmono 216 > "$workdir/soc1_smoke.txt"
 grep -q "45,183" "$workdir/soc1_smoke.txt" \
   || { echo "FAIL: soc1.soc analyze lost the Table 1 modular TDV (45,183)"; exit 1; }
+
+echo "== paper reproduction golden (modsoc repro at --jobs 1 and --jobs 4)"
+# Every table, figure and extension section, diffed against the
+# committed stdout. Pins the live SOC1/SOC2/at-speed pattern counts and
+# checks that repro output is identical at any --jobs value. After an
+# intentional change to a printed number, regenerate with
+# `modsoc repro --jobs 1 > testdata/repro.txt` and commit the diff.
+for jobs in 1 4; do
+  ./target/release/modsoc repro --jobs "$jobs" > "$workdir/repro$jobs.txt" 2>/dev/null
+  diff testdata/repro.txt "$workdir/repro$jobs.txt" \
+    || { echo "FAIL: modsoc repro --jobs $jobs diverges from testdata/repro.txt"; exit 1; }
+done
 
 echo "== parallel determinism gate (--jobs 1 vs --jobs 4)"
 # The worker pool's contract: reports are byte-identical at any --jobs
@@ -297,25 +300,5 @@ grep -q "store gc: scanned" "$workdir/dist_gc.txt" \
   || { echo "FAIL: store gc produced no report"; cat "$workdir/dist_gc.txt"; exit 1; }
 ./target/release/modsoc store verify "$dist_store" \
   || { echo "FAIL: store corrupt after gc"; exit 1; }
-
-if [[ "${MODSOC_BENCH_GATE:-0}" == "1" ]]; then
-  echo "== perf regression gate (atpg_phase_bench --check, +50% tolerance)"
-  # 50%, not the bench's 25% default: the container-class machines this
-  # gate runs on show ~±30% best-of-N noise in the ms-scale phases. A
-  # wide-kernel regression back to narrow speed is a ~5x fault_sim_ms
-  # jump, so the gate still catches what it is here for.
-  cargo build -q --release -p modsoc-bench --bin atpg_phase_bench
-  ./target/release/atpg_phase_bench --check BENCH_pr7.json --tolerance 0.5
-
-  echo "== tam packer regression gate (tam_pack_bench --check, +100% tolerance)"
-  # The deterministic fields (pack_time/best_time/constrained_time/
-  # backfills) are compared exactly regardless of tolerance, so heuristic
-  # drift always fails; the wide timing tolerance only covers pack_ms on
-  # noisy machines.
-  cargo build -q --release -p modsoc-bench --bin tam_pack_bench
-  ./target/release/tam_pack_bench --quick --check BENCH_tam.json --tolerance 1.0
-else
-  echo "== perf regression gate skipped (set MODSOC_BENCH_GATE=1 to enable)"
-fi
 
 echo "CI gate passed."

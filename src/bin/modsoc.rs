@@ -18,7 +18,7 @@
 //! modsoc generate --inputs N --outputs N --scan N [--seed S] [--bench-out FILE] [--verilog-out FILE]
 //! modsoc cones <file.bench>
 //! modsoc tdf <file.bench> [--timeout-ms N] [--max-backtracks N]
-//! modsoc demo <soc1|soc2|p34392|table4>
+//! modsoc repro [fig1|table1|table2|table3|table4|ablations|atspeed|tam-width|hybrid-bist] [--jobs N]
 //! modsoc tam [SOC] [--width N] [--chains N] [--power-ceiling P] [--jobs N] [--json FILE] [--metrics FILE]
 //! ```
 //!
@@ -47,14 +47,13 @@ use std::sync::Arc;
 use modsoc::analysis::campaign::{
     run_campaign, run_campaign_claimed, CampaignSpec, ClaimOptions, UnitStatus,
 };
-use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions};
+use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
 use modsoc::analysis::metrics::{
     analysis_run_metrics, run_soc_experiment_metered, Phase, PhaseTimer, RecordingSink, RunMetrics,
 };
 use modsoc::analysis::remote::HttpBackend;
 use modsoc::analysis::report::{
     fmt_u64, render_analyze_report, render_core_table, render_metrics_table, render_outcome_table,
-    render_survey,
 };
 use modsoc::analysis::runctl::analyze_soc_guarded_jobs_metered;
 use modsoc::analysis::serve::{http_request, HttpClient, HttpResponse, ServeConfig, Server};
@@ -70,6 +69,11 @@ use modsoc::netlist::CircuitStats;
 use modsoc::soc::format::parse_soc;
 use modsoc::soc::itc02;
 use modsoc::store::ResultStore;
+
+// The crate root stays at `src/bin/modsoc.rs` (so test paths are
+// stable); its submodules live in `src/bin/modsoc/`.
+#[path = "modsoc/repro.rs"]
+mod repro;
 
 /// How a subcommand ended when it did not error.
 enum RunStatus {
@@ -121,7 +125,8 @@ const USAGE: &str = "usage:
   modsoc cones <file.bench>
   modsoc index <file.bench|file.soc>
   modsoc tdf <file.bench> [--timeout-ms N] [--max-backtracks N]
-  modsoc demo <soc1|soc2|p34392|table4>
+  modsoc repro [fig1|table1|table2|table3|table4|ablations|atspeed|tam-width|hybrid-bist]
+               [--jobs N]
   modsoc tam [SOC] [--width N] [--chains N] [--power-ceiling P] [--jobs N] [--json FILE]
              [--metrics FILE]
 
@@ -157,7 +162,7 @@ fn run(args: &[String]) -> Result<RunStatus, String> {
         Some("cones") => cmd_cones(&args[1..]),
         Some("index") => cmd_index(&args[1..]),
         Some("tdf") => cmd_tdf(&args[1..]),
-        Some("demo") => cmd_demo(&args[1..]),
+        Some("repro") => repro::cmd_repro(&args[1..]),
         Some("tam") => cmd_tam(&args[1..]),
         Some(other) => Err(format!("unknown subcommand `{other}`")),
         None => Err("a subcommand is required".into()),
@@ -448,22 +453,7 @@ fn cmd_experiment(args: &[String]) -> Result<RunStatus, String> {
         ),
     };
 
-    let exp = &completion.result;
-    println!("{}", render_core_table(&exp.soc, &exp.analysis));
-    if options.monolithic {
-        println!(
-            "monolithic ATPG: T_mono = {} (max core {}), coverage {:.2}%, eq.2 strict: {}",
-            exp.t_mono,
-            exp.soc.max_core_patterns(),
-            exp.mono_coverage * 100.0,
-            exp.eq2_strict
-        );
-    } else {
-        println!(
-            "monolithic phase skipped: T_mono bounded below by max core = {}",
-            exp.t_mono
-        );
-    }
+    print_experiment(&completion.result, options.monolithic);
     println!();
     println!("{}", render_outcome_table(&completion.per_core_outcomes));
     if let (Some(out), Some(metrics)) = (flag_value(args, "--metrics"), &metrics) {
@@ -488,6 +478,27 @@ fn cmd_experiment(args: &[String]) -> Result<RunStatus, String> {
         );
     }
     Ok(RunStatus::Partial)
+}
+
+/// Print an experiment's core table and its monolithic summary line —
+/// the report body shared by `modsoc experiment` and the live Tables 1/2
+/// sections of `modsoc repro`.
+fn print_experiment(exp: &SocExperiment, monolithic: bool) {
+    println!("{}", render_core_table(&exp.soc, &exp.analysis));
+    if monolithic {
+        println!(
+            "monolithic ATPG: T_mono = {} (max core {}), coverage {:.2}%, eq.2 strict: {}",
+            exp.t_mono,
+            exp.soc.max_core_patterns(),
+            exp.mono_coverage * 100.0,
+            exp.eq2_strict
+        );
+    } else {
+        println!(
+            "monolithic phase skipped: T_mono bounded below by max core = {}",
+            exp.t_mono
+        );
+    }
 }
 
 /// Best-effort SIGINT/SIGTERM hooks for the serve daemon's graceful
@@ -1640,59 +1651,6 @@ fn cmd_tdf(args: &[String]) -> Result<RunStatus, String> {
     if let Some(e) = &result.exhausted {
         eprintln!("warning: partial result — {e}");
         return Ok(RunStatus::Partial);
-    }
-    Ok(RunStatus::Complete)
-}
-
-fn cmd_demo(args: &[String]) -> Result<RunStatus, String> {
-    check_flags(args, &[], &[])?;
-    match positional(args) {
-        Some("soc1") => {
-            let soc = itc02::soc1();
-            let a = SocTdvAnalysis::compute_with_measured_tmono(
-                &soc,
-                &TdvOptions::tables_1_2(),
-                itc02::SOC1_MEASURED_TMONO,
-            )
-            .map_err(|e| e.to_string())?;
-            println!("{}", render_core_table(&soc, &a));
-        }
-        Some("soc2") => {
-            let soc = itc02::soc2();
-            let a = SocTdvAnalysis::compute_with_measured_tmono(
-                &soc,
-                &TdvOptions::tables_1_2(),
-                itc02::SOC2_MEASURED_TMONO,
-            )
-            .map_err(|e| e.to_string())?;
-            println!("{}", render_core_table(&soc, &a));
-        }
-        Some("p34392") => {
-            let soc = itc02::p34392();
-            let a = SocTdvAnalysis::compute(&soc, &TdvOptions::tables_3_4())
-                .map_err(|e| e.to_string())?;
-            println!("{}", render_core_table(&soc, &a));
-            println!("modular TDV: {}", fmt_u64(a.modular().total()));
-        }
-        Some("table4") => {
-            let opts = TdvOptions::tables_3_4();
-            let mut analyses = Vec::new();
-            for row in itc02::table4() {
-                let soc = if row.name == "p34392" {
-                    itc02::p34392()
-                } else {
-                    modsoc::analysis::reconstruct::reconstruct_table4(row)
-                        .map_err(|e| e.to_string())?
-                };
-                analyses.push(SocTdvAnalysis::compute(&soc, &opts).map_err(|e| e.to_string())?);
-            }
-            println!("{}", render_survey(&analyses));
-        }
-        other => {
-            return Err(format!(
-                "demo needs one of soc1|soc2|p34392|table4, got {other:?}"
-            ))
-        }
     }
     Ok(RunStatus::Complete)
 }

@@ -24,23 +24,83 @@ fn unknown_subcommand_rejected() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 }
 
-#[test]
-fn demo_soc1_prints_paper_numbers() {
-    let out = modsoc(&["demo", "soc1"]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("45,183"), "{text}");
-    assert!(text.contains("129,816"));
+/// Run one `modsoc repro` section; it must succeed and print its header.
+fn repro(section: &str) -> String {
+    let out = modsoc(&["repro", section]);
+    assert!(
+        out.status.success(),
+        "repro {section}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        text.starts_with(&format!("#### modsoc repro {section}\n")),
+        "{text}"
+    );
+    text
 }
 
 #[test]
-fn demo_table4_prints_all_socs() {
-    let out = modsoc(&["demo", "table4"]);
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    for soc in ["d695", "g12710", "a586710", "p34392"] {
+fn repro_fig1_reproduces_worked_example() {
+    let text = repro("fig1");
+    assert!(text.contains("monolithic stimulus bits: 20000"), "{text}");
+    assert!(text.contains("modular stimulus bits:    15000"));
+    assert!(text.contains("25.0%"));
+}
+
+#[test]
+fn repro_table1_prints_paper_numbers() {
+    let text = repro("table1");
+    assert!(text.contains("45,183"), "{text}");
+    assert!(text.contains("129,816"));
+    assert!(text.contains("live regeneration"));
+    assert!(text.contains("eq.2 strict: true"));
+}
+
+#[test]
+fn repro_table3_is_bit_exact() {
+    let text = repro("table3");
+    assert!(text.contains("28,538,030"), "{text}");
+    assert!(text.contains("bit-exact match: yes"));
+    assert!(text.contains("522,738,000"));
+}
+
+#[test]
+fn repro_table4_prints_all_socs() {
+    let text = repro("table4");
+    for soc in [
+        "d695", "h953", "f2126", "g1023", "g12710", "p22810", "p34392", "p93791", "t512505",
+        "a586710",
+    ] {
         assert!(text.contains(soc), "{soc} missing");
     }
+    assert!(text.contains("correlation"));
+    // The two extremes keep their signs.
+    assert!(text.contains("+38.6%"));
+    assert!(text.contains("-99.3%"));
+}
+
+#[test]
+fn repro_ablations_reports_all_sweeps() {
+    let text = repro("ablations");
+    for sweep in ["Ablation 1", "Ablation 2", "Ablation 3", "Ablation 4"] {
+        assert!(text.contains(sweep), "{sweep} missing");
+    }
+    assert!(text.contains("crossover observed: true"));
+}
+
+#[test]
+fn repro_rejects_unknown_section() {
+    let out = modsoc(&["repro", "table9"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(
+            "unknown repro section `table9` (expected one of fig1|table1|table2|table3|table4|\
+             ablations|atspeed|tam-width|hybrid-bist)"
+        ),
+        "{err}"
+    );
 }
 
 #[test]

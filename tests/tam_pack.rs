@@ -13,7 +13,10 @@ use modsoc::circuitgen::profile::iscas;
 use modsoc::soc::itc02;
 use modsoc::tam::arch::{soc_test_time, TamArchitecture};
 use modsoc::tam::binpack::{pack, PackedSchedule};
-use modsoc::tam::constraints::{pack_constrained, power_cores, scan_power_model};
+use modsoc::tam::constraints::{
+    pack_constrained, packed_peak_power, power_cores, scan_power_model,
+};
+use modsoc::tam::optimize::best_at_width;
 use modsoc::tam::wrapper::WrapperCore;
 
 /// Every placement's wires are in-budget, distinct, and no wire carries
@@ -215,9 +218,39 @@ fn itc02_sweep_packs_within_bounds_at_every_width() {
     }
 }
 
+/// `(soc, pack_time, best_time, backfills, constrained_time,
+/// peak_power, ceiling)` at width 16 with 8 chains per core. Every field
+/// is a pure function of the SOC tables; a change in any of them means
+/// the packer (or the architecture sweep) now makes different
+/// placements.
+const PINNED_AT_WIDTH_16: [(&str, u64, u64, usize, u64, u64, u64); 12] = [
+    ("soc1", 2_076, 2_012, 1, 2_076, 192, 247),
+    ("soc2", 64_349, 64_349, 3, 71_107, 961, 1_031),
+    ("d695", 47_511, 47_452, 0, 47_511, 502, 1_065),
+    ("h953", 76_196, 76_611, 5, 107_816, 1_396, 1_441),
+    ("f2126", 488_120, 488_120, 3, 605_368, 2_412, 2_412),
+    ("g1023", 20_261, 24_474, 4, 20_261, 734, 1_460),
+    ("g12710", 1_563_808, 1_563_808, 0, 1_956_735, 4_797, 5_710),
+    ("p22810", 546_272, 582_297, 17, 546_272, 3_207, 13_765),
+    ("p34392", 1_140_724, 1_215_611, 18, 1_458_358, 9_284, 11_443),
+    ("p93791", 1_648_580, 1_968_958, 12, 1_648_580, 4_686, 19_671),
+    (
+        "t512505", 12_156_644, 13_692_141, 21, 12_156_644, 9_235, 12_044,
+    ),
+    (
+        "a586710", 31_323_297, 31_323_297, 0, 31_323_297, 357_564, 504_179,
+    ),
+];
+
+/// At width 16 with the ceiling `max(hungriest, total / 2)`, every
+/// ITC'02 SOC's constrained packing is valid, and the plain packing,
+/// the architecture sweep's best and the constrained packing all match
+/// the pinned table.
 #[test]
 fn itc02_constrained_sweep_respects_the_ceiling() {
-    for (name, soc) in itc02_socs() {
+    let socs = itc02_socs();
+    assert_eq!(socs.len(), PINNED_AT_WIDTH_16.len());
+    for ((name, soc), want) in socs.iter().zip(PINNED_AT_WIDTH_16) {
         let cores: Vec<WrapperCore> = soc
             .iter()
             .filter(|(_, c)| c.patterns > 0)
@@ -231,5 +264,17 @@ fn itc02_constrained_sweep_respects_the_ceiling() {
         assert_no_overlap(&s);
         assert_power_within(&s, &powers, ceiling);
         assert!(s.makespan() <= serial_time(&cores, 16), "{name}");
+
+        let packed = pack(&cores, 16).unwrap();
+        let got = (
+            name.as_str(),
+            packed.makespan(),
+            best_at_width(&cores, 16).unwrap().time,
+            packed.backfills(),
+            s.makespan(),
+            packed_peak_power(&s, &pcs),
+            ceiling,
+        );
+        assert_eq!(got, want);
     }
 }
