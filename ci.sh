@@ -46,6 +46,12 @@ echo "== chaos suite (fixed seed)"
 # vendored proptest streams on top so the whole gate is reproducible.
 PROPTEST_SEED=20080310 cargo test -q --test chaos --test parser_fuzz
 
+echo "== perfbench (builds and unit-tests against the workspace API)"
+# perfbench is its own package outside the workspace; it links the
+# public API of the atpg/core/tam/store crates, so a change there that
+# breaks it must fail here rather than only in the benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== CLI smoke runs"
 cargo build -q --release --bin modsoc
 ./target/release/modsoc --version

@@ -266,36 +266,8 @@ pub fn run_hybrid(
     bist_patterns: usize,
     backtrack_limit: u32,
 ) -> Result<HybridOutcome, AtpgError> {
-    run_hybrid_metered(
-        circuit,
-        lfsr,
-        bist_patterns,
-        backtrack_limit,
-        &modsoc_metrics::NullSink,
-    )
-}
-
-/// [`run_hybrid`] reporting into a
-/// [`MetricsSink`](modsoc_metrics::MetricsSink): the whole flow is timed
-/// as one `bist` phase, with the applied-BIST and top-up pattern counts
-/// on the BIST counters. Results are identical to the unmetered entry
-/// point.
-///
-/// # Errors
-///
-/// Propagates fault-simulation and test-generation errors.
-pub fn run_hybrid_metered(
-    circuit: &Circuit,
-    lfsr: Lfsr,
-    bist_patterns: usize,
-    backtrack_limit: u32,
-    sink: &dyn modsoc_metrics::MetricsSink,
-) -> Result<HybridOutcome, AtpgError> {
     use crate::pattern::TestSet;
     use crate::podem::{Podem, PodemOutcome};
-    use modsoc_metrics::{Counter, Phase, PhaseTimer};
-
-    let timer = PhaseTimer::start(sink, Phase::Bist);
 
     let sindex = std::sync::Arc::new(modsoc_netlist::StructuralIndex::build(circuit)?);
     let reps = crate::collapse::collapse_faults_with(circuit, &sindex)
@@ -306,10 +278,8 @@ pub fn run_hybrid_metered(
 
     // Per-fault BIST detection status (evaluate_bist reports aggregates;
     // it is deterministic, so replaying a clone of the caller's LFSR
-    // reproduces the exact stream). This replay stays on the narrow
-    // 64-pattern path: the early break below makes the applied-pattern
-    // counter visible at 64-pattern granularity, and widening the block
-    // would change the reported BistPatterns value.
+    // reproduces the exact stream). The replay runs 64 patterns at a
+    // time and stops early once every fault is detected.
     let mut fsim = FaultSimulator::with_index(circuit, std::sync::Arc::clone(&sindex))?;
     let mut detected = vec![false; reps.len()];
     let mut replay = lfsr;
@@ -362,9 +332,6 @@ pub fn run_hybrid_metered(
 
     let coverage = detected.iter().filter(|&&d| d).count() as f64 / reps.len().max(1) as f64;
     let external_stimulus_bits = top_up.stimulus_bits();
-    drop(timer);
-    sink.add(Counter::BistPatterns, applied as u64);
-    sink.add(Counter::BistTopUpPatterns, top_up.len() as u64);
     Ok(HybridOutcome {
         bist,
         top_up,

@@ -12,16 +12,12 @@
 //!   top-up, diagnosis syndromes).
 //! - **[`SimBlock`]** (`[u64; 8]`) — 512 patterns per pass, written so
 //!   the autovectorizer lifts the lane loops to 256/512-bit SIMD. The
-//!   bulk sweeps (`detected_faults*`, `detection_counts*`,
-//!   [`fault_coverage`], compaction/diagnosis matrices, TDF/BIST
-//!   coverage) run on this width by default.
+//!   bulk sweeps ([`FaultSimulator::detected_over`],
+//!   [`detection_counts`], [`fault_coverage`], compaction/diagnosis
+//!   matrices, TDF/BIST coverage) run on this width by default.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
-//! contiguous, so wide gate evaluation streams cache lines. The sharded
-//! entry points combine pattern-parallel and fault-parallel blocking:
-//! good-value blocks are computed once on the calling thread and shared
-//! read-only by every worker, which then streams its fault shard
-//! against one cache-resident block at a time.
+//! contiguous, so wide gate evaluation streams cache lines.
 //!
 //! Both widths produce bit-identical detection verdicts; the unit-test
 //! oracles here and in the compaction/diagnosis/TDF/BIST modules pin
@@ -29,9 +25,7 @@
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::Instant;
 
-use modsoc_metrics::{MetricsSink, NullSink};
 use modsoc_netlist::sim::Simulator;
 use modsoc_netlist::{Circuit, GateKind, NodeId, StructuralIndex};
 pub use modsoc_netlist::{PackedWord, SimBlock, BLOCK_BITS, BLOCK_WORDS};
@@ -44,19 +38,6 @@ use crate::fault::{Fault, FaultSite};
 /// (polling costs an `Instant::now()`; per-fault propagation is usually
 /// far cheaper, so polling every fault would dominate small cones).
 pub const BUDGET_POLL_STRIDE: usize = 256;
-
-/// Resolve a job-count request: `0` means "all available hardware
-/// threads" (1 when detection fails); anything else is used as given.
-#[must_use]
-pub fn effective_jobs(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
 
 /// Mask of the valid pattern slots for a batch of `n` patterns: the low
 /// `n` bits set, saturating at the full word for `n >= 64`.
@@ -93,7 +74,7 @@ pub fn block_active_mask(n: usize) -> SimBlock {
 /// `faulty[i]` is only meaningful when `stamp[i] == epoch`; bumping the
 /// epoch invalidates the whole array in O(1). The event heap is reused
 /// across propagations (it is always drained empty).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Scratch<W> {
     faulty: Vec<W>,
     stamp: Vec<u32>,
@@ -266,11 +247,7 @@ impl<W: PackedWord> Scratch<W> {
 /// scratch is allocated lazily on first blocked sweep); create once and
 /// call [`FaultSimulator::detection_masks`] per 64-pattern batch or
 /// [`FaultSimulator::block_detection_mask`] per 512-pattern block.
-/// `Clone` is cheap relative to [`FaultSimulator::new`] (the shared
-/// [`StructuralIndex`] is reference-counted, not recomputed), which is
-/// how the sharded entry points hand each worker thread its own
-/// simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FaultSimulator<'a> {
     circuit: &'a Circuit,
     sim: Simulator,
@@ -438,26 +415,6 @@ impl<'a> FaultSimulator<'a> {
             .collect()
     }
 
-    /// Detection mask restricted to one primary output (by output
-    /// index). Prefer [`FaultSimulator::output_detection_masks`] when
-    /// several outputs are needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output` is out of range.
-    pub fn output_detection_mask(
-        &mut self,
-        good: &[u64],
-        active: u64,
-        fault: Fault,
-        output: usize,
-    ) -> u64 {
-        self.narrow
-            .propagate(self.circuit, &self.index, good, fault);
-        let po = self.circuit.outputs()[output];
-        (good[po.index()] ^ self.narrow.value_of(po, good)) & active
-    }
-
     /// Detection masks for a whole fault list against one batch.
     ///
     /// # Errors
@@ -599,87 +556,6 @@ pub fn fault_coverage(
     Ok(detected.iter().filter(|&&d| d).count() as f64 / faults.len() as f64)
 }
 
-/// Shard `faults` into contiguous runs across `jobs` OS threads, each
-/// worker owning a clone of one prototype simulator, and concatenate the
-/// per-shard results **in fault order**. Because faults are independent,
-/// the merged output is identical to running `per_shard` once over the
-/// whole list — the parallel split is invisible in the results.
-///
-/// A worker panic is re-raised on the calling thread after the scope
-/// joins (payload preserved).
-///
-/// When `sink` is enabled, each shard reports a worker-utilization row
-/// (shard index, faults claimed, busy wall time; if the elapsed nanos
-/// overflow `u64` the row is flagged saturated rather than inventing a
-/// fake huge value). Rows are scheduling-dependent and excluded from the
-/// determinism contract; the computed results are unaffected.
-fn run_sharded<T: Send>(
-    mut proto: FaultSimulator<'_>,
-    faults: &[Fault],
-    jobs: usize,
-    sink: &dyn MetricsSink,
-    per_shard: impl Fn(&mut FaultSimulator<'_>, &[Fault]) -> Result<Vec<T>, AtpgError> + Sync,
-) -> Result<Vec<T>, AtpgError> {
-    let timed = |shard_idx: usize,
-                 fsim: &mut FaultSimulator<'_>,
-                 shard: &[Fault]|
-     -> Result<Vec<T>, AtpgError> {
-        let start = sink.enabled().then(Instant::now);
-        let out = per_shard(fsim, shard);
-        if let Some(start) = start {
-            let (nanos, saturated) = match u64::try_from(start.elapsed().as_nanos()) {
-                Ok(n) => (n, false),
-                Err(_) => (u64::MAX, true),
-            };
-            sink.worker(shard_idx, shard.len() as u64, nanos, saturated);
-        }
-        out
-    };
-    let jobs = jobs.max(1);
-    if jobs == 1 || faults.len() < 2 * jobs {
-        return timed(0, &mut proto, faults);
-    }
-    let chunk_len = faults.len().div_ceil(jobs);
-    let results: Vec<Result<Vec<T>, AtpgError>> = std::thread::scope(|scope| {
-        let proto = &proto;
-        let timed = &timed;
-        let handles: Vec<_> = faults
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(i, chunk)| scope.spawn(move || timed(i, &mut proto.clone(), chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(faults.len());
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
-/// Good-value blocks for a whole pattern set: one `(node-major blocks,
-/// tail mask)` entry per [`BLOCK_BITS`] chunk, computed once on the
-/// calling thread so sharded workers can stream them read-only (the
-/// pattern-parallel half of the cache blocking).
-fn good_block_sweep(
-    proto: &FaultSimulator<'_>,
-    patterns: &[Vec<bool>],
-) -> Result<Vec<(Vec<SimBlock>, SimBlock)>, AtpgError> {
-    patterns
-        .chunks(BLOCK_BITS)
-        .map(|chunk| {
-            let (good, n) = proto.good_blocks(chunk)?;
-            Ok((good, block_active_mask(n)))
-        })
-        .collect()
-}
-
 /// Per-fault *detection counts* of a pattern set: how many patterns
 /// detect each fault. The industrial n-detect quality metric — faults
 /// detected only once are fragile against timing/bridging defect
@@ -693,158 +569,16 @@ pub fn detection_counts(
     patterns: &[Vec<bool>],
     faults: &[Fault],
 ) -> Result<Vec<u32>, AtpgError> {
-    detection_counts_threaded(circuit, patterns, faults, 1)
-}
-
-/// [`detection_counts`] with the collapsed fault list sharded across
-/// `jobs` OS threads (each worker owns a [`FaultSimulator`] clone).
-/// The order-preserving merge makes the result identical to the serial
-/// run at any `jobs` value.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detection_counts_threaded(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<u32>, AtpgError> {
-    let proto = FaultSimulator::new(circuit)?;
-    let blocks = good_block_sweep(&proto, patterns)?;
-    run_sharded(proto, faults, jobs, &NullSink, |fsim, shard| {
-        let mut counts = vec![0u32; shard.len()];
-        for (good, active) in &blocks {
-            for (c, &f) in counts.iter_mut().zip(shard) {
-                *c += fsim.block_detection_mask(good, active, f).count_ones();
-            }
+    let mut fsim = FaultSimulator::new(circuit)?;
+    let mut counts = vec![0u32; faults.len()];
+    for chunk in patterns.chunks(BLOCK_BITS) {
+        let (good, n) = fsim.good_blocks(chunk)?;
+        let active = block_active_mask(n);
+        for (c, &f) in counts.iter_mut().zip(faults) {
+            *c += fsim.block_detection_mask(&good, &active, f).count_ones();
         }
-        Ok(counts)
-    })
-}
-
-/// Which faults the pattern set detects at all: the boolean reduction of
-/// [`detection_counts_threaded`], sharded the same way. This is the
-/// engine's final-accounting primitive (`detected[i]` ⇔ some pattern
-/// flips some output under fault `i`).
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detected_faults(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_via(FaultSimulator::new(circuit)?, patterns, faults, jobs)
-}
-
-/// [`detected_faults`] against a prebuilt shared [`StructuralIndex`]:
-/// every worker clone borrows the same index instead of re-deriving the
-/// fanout adjacency and topological order per call.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detected_faults_indexed(
-    circuit: &Circuit,
-    index: &Arc<StructuralIndex>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_indexed_metered(circuit, index, patterns, faults, jobs, &NullSink)
-}
-
-/// [`detected_faults_indexed`] reporting per-shard worker-utilization
-/// rows into a [`MetricsSink`] (shard index, faults claimed, busy wall
-/// time). The computed detection results are byte-identical to the
-/// unmetered entry point at any `jobs` value.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detected_faults_indexed_metered(
-    circuit: &Circuit,
-    index: &Arc<StructuralIndex>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-    sink: &dyn MetricsSink,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_via_sink(
-        FaultSimulator::with_index(circuit, Arc::clone(index))?,
-        patterns,
-        faults,
-        jobs,
-        sink,
-    )
-}
-
-fn detected_faults_via(
-    proto: FaultSimulator<'_>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-) -> Result<Vec<bool>, AtpgError> {
-    detected_faults_via_sink(proto, patterns, faults, jobs, &NullSink)
-}
-
-fn detected_faults_via_sink(
-    proto: FaultSimulator<'_>,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    jobs: usize,
-    sink: &dyn MetricsSink,
-) -> Result<Vec<bool>, AtpgError> {
-    let blocks = good_block_sweep(&proto, patterns)?;
-    run_sharded(proto, faults, jobs, sink, |fsim, shard| {
-        let mut detected = vec![false; shard.len()];
-        // Blocks outer, faults inner: each worker streams its fault
-        // shard against one cache-resident good block at a time, and a
-        // fault detected by an earlier block is dropped from later ones
-        // (an OR-reduction, so results are identical with or without
-        // the drop at any shard split).
-        for (good, active) in &blocks {
-            for (d, &f) in detected.iter_mut().zip(shard) {
-                if *d {
-                    continue;
-                }
-                if !fsim.block_detection_mask(good, active, f).is_zero() {
-                    *d = true;
-                }
-            }
-        }
-        Ok(detected)
-    })
-}
-
-/// Detection masks for a whole fault list against one ≤64-pattern batch,
-/// computed on `threads` OS threads (each with its own simulator and
-/// scratch). Results are identical to the serial
-/// [`FaultSimulator::detection_masks`] — faults are independent, so the
-/// split is embarrassingly parallel and fully deterministic.
-///
-/// Worth using from roughly 10k faults × 10k gates upward; below that
-/// the per-thread good-circuit evaluation dominates.
-///
-/// # Errors
-///
-/// Propagates simulator construction and pattern width errors.
-pub fn detection_masks_threaded(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    faults: &[Fault],
-    threads: usize,
-) -> Result<Vec<u64>, AtpgError> {
-    run_sharded(
-        FaultSimulator::new(circuit)?,
-        faults,
-        threads,
-        &NullSink,
-        |fsim, shard| fsim.detection_masks(patterns, shard),
-    )
+    }
+    Ok(counts)
 }
 
 /// Fixtures shared by the wide-vs-narrow oracle tests of every blocked
@@ -956,8 +690,8 @@ g23 = NAND(g16, g19)
             .collect()
     }
 
-    /// A bigger layered circuit shared by the threaded and blocked
-    /// differential tests.
+    /// A bigger layered circuit shared by the blocked differential
+    /// tests.
     fn layered_circuit() -> Circuit {
         let mut c = Circuit::new("big");
         let mut prev: Vec<_> = (0..12).map(|i| c.add_input(format!("i{i}"))).collect();
@@ -1123,36 +857,6 @@ g23 = NAND(g16, g19)
     }
 
     #[test]
-    fn threaded_masks_match_serial() {
-        let c = c17();
-        let patterns = all_input_patterns(5);
-        let faults = enumerate_faults(&c);
-        let serial = FaultSimulator::new(&c)
-            .unwrap()
-            .detection_masks(&patterns[..32], &faults)
-            .unwrap();
-        for threads in [1, 2, 3, 8] {
-            let parallel = detection_masks_threaded(&c, &patterns[..32], &faults, threads).unwrap();
-            assert_eq!(parallel, serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn threaded_on_larger_circuit() {
-        let c = layered_circuit();
-        let patterns: Vec<Vec<bool>> = (0..64u64)
-            .map(|k| (0..12).map(|i| (k >> (i % 6)) & 1 == 1).collect())
-            .collect();
-        let faults = enumerate_faults(&c);
-        let serial = FaultSimulator::new(&c)
-            .unwrap()
-            .detection_masks(&patterns, &faults)
-            .unwrap();
-        let parallel = detection_masks_threaded(&c, &patterns, &faults, 4).unwrap();
-        assert_eq!(parallel, serial);
-    }
-
-    #[test]
     fn active_mask_tail_widths() {
         assert_eq!(active_mask(0), 0);
         assert_eq!(active_mask(1), 0b1);
@@ -1189,22 +893,13 @@ g23 = NAND(g16, g19)
         let c = c17();
         let patterns = all_input_patterns(5);
         let faults = enumerate_faults(&c);
-        let serial_counts = detection_counts(&c, &patterns, &faults).unwrap();
-        let serial_detected = detected_faults(&c, &patterns, &faults, 1).unwrap();
-        for jobs in [2, 3, 8] {
-            assert_eq!(
-                detection_counts_threaded(&c, &patterns, &faults, jobs).unwrap(),
-                serial_counts,
-                "{jobs} jobs"
-            );
-            assert_eq!(
-                detected_faults(&c, &patterns, &faults, jobs).unwrap(),
-                serial_detected,
-                "{jobs} jobs"
-            );
-        }
+        let counts = detection_counts(&c, &patterns, &faults).unwrap();
+        let detected = FaultSimulator::new(&c)
+            .unwrap()
+            .detected_over(&patterns, &faults)
+            .unwrap();
         // detected ⇔ count >= 1.
-        for (d, n) in serial_detected.iter().zip(&serial_counts) {
+        for (d, n) in detected.iter().zip(&counts) {
             assert_eq!(*d, *n >= 1);
         }
     }
@@ -1243,7 +938,7 @@ g23 = NAND(g16, g19)
     }
 
     /// Aggregate blocked entry points vs the narrow reference sweep,
-    /// including multi-block pattern sets and every shard split.
+    /// including multi-block pattern sets.
     #[test]
     fn blocked_aggregates_match_narrow_reference() {
         let c = layered_circuit();
@@ -1251,18 +946,11 @@ g23 = NAND(g16, g19)
         for &count in &[65usize, 512, 513, 700] {
             let patterns = cyc_patterns(12, count);
             let (ref_detected, ref_counts) = narrow_reference(&c, &patterns, &faults);
-            for jobs in [1, 4] {
-                assert_eq!(
-                    detected_faults(&c, &patterns, &faults, jobs).unwrap(),
-                    ref_detected,
-                    "count={count} jobs={jobs}"
-                );
-                assert_eq!(
-                    detection_counts_threaded(&c, &patterns, &faults, jobs).unwrap(),
-                    ref_counts,
-                    "count={count} jobs={jobs}"
-                );
-            }
+            assert_eq!(
+                detection_counts(&c, &patterns, &faults).unwrap(),
+                ref_counts,
+                "count={count} detection_counts"
+            );
             let mut fsim = FaultSimulator::new(&c).unwrap();
             assert_eq!(
                 fsim.detected_over(&patterns, &faults).unwrap(),
@@ -1281,18 +969,12 @@ g23 = NAND(g16, g19)
         let faults: Vec<Fault> = enumerate_faults(c).into_iter().take(300).collect();
         let patterns = cyc_patterns(c.input_count(), 130);
         let (ref_detected, ref_counts) = narrow_reference(c, &patterns, &faults);
-        for jobs in [1, 4] {
-            assert_eq!(
-                detected_faults(c, &patterns, &faults, jobs).unwrap(),
-                ref_detected,
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                detection_counts_threaded(c, &patterns, &faults, jobs).unwrap(),
-                ref_counts,
-                "jobs={jobs}"
-            );
-        }
+        let mut fsim = FaultSimulator::new(c).unwrap();
+        assert_eq!(
+            fsim.detected_over(&patterns, &faults).unwrap(),
+            ref_detected
+        );
+        assert_eq!(detection_counts(c, &patterns, &faults).unwrap(), ref_counts);
     }
 
     /// The blocked detection visitor vs its single-word reference: the

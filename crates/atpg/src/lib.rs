@@ -25,8 +25,7 @@
 //!   BIST + deterministic top-up flow ([`bist`]),
 //! * EDT-style **test data compression** with a GF(2) cube solver
 //!   ([`compress`]), and
-//! * **transition-delay fault ATPG** under launch-on-capture and
-//!   launch-on-shift ([`tdf`]).
+//! * **transition-delay fault ATPG** under launch-on-capture ([`tdf`]).
 //!
 //! The engine's observable behaviour reproduces the phenomena the paper's
 //! analysis rests on: per-cone pattern counts vary widely, compaction can

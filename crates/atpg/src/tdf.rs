@@ -21,6 +21,7 @@
 
 use modsoc_netlist::{Circuit, GateKind, NodeId, TestModel, TestPoint};
 
+use crate::budget::RunBudget;
 use crate::error::AtpgError;
 use crate::fault::Fault;
 use crate::fault_sim::{block_active_mask, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS};
@@ -222,99 +223,11 @@ impl TdfResult {
     }
 }
 
-/// Which launch scheme to generate transition tests for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LaunchScheme {
-    /// Launch-on-capture: frame 2 is the functional image of frame 1.
-    #[default]
-    Capture,
-    /// Launch-on-shift: frame 2 is the scan vector shifted one position
-    /// (single chain, declaration order).
-    Shift,
-}
-
-/// Build the launch-on-shift (LOS) unrolling of a full-scan test model
-/// with a **single scan chain** in flip-flop declaration order.
-///
-/// Under LOS the launch cycle is the last *shift* clock: the frame-2
-/// state is the frame-1 scan vector shifted by one position, with a
-/// fresh `scan_in` bit entering at chain position 0. Both states are
-/// therefore directly controllable (unlike LOC, where frame 2 is the
-/// functional image of frame 1) — which is why LOS typically reaches
-/// higher transition coverage, at the price of a fast scan-enable.
-///
-/// The unrolled circuit's inputs are the model's primary inputs (held),
-/// the frame-1 scan state, plus the extra `scan_in` bit.
-///
-/// # Errors
-///
-/// Propagates circuit construction errors.
-pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
-    let m = &model.circuit;
-    let mut out = Circuit::new(format!("{}.los2", m.name()));
-    let order = m.topo_order().map_err(AtpgError::from)?;
-
-    let mut f1: Vec<Option<NodeId>> = vec![None; m.node_count()];
-    let mut f2: Vec<Option<NodeId>> = vec![None; m.node_count()];
-    let mut scan_nodes: Vec<usize> = Vec::new();
-    for (k, &pi) in m.inputs().iter().enumerate() {
-        let name = &m.node(pi).name;
-        let shared = out.add_input(name.to_string());
-        match model.inputs[k] {
-            TestPoint::Primary(_) => {
-                f1[pi.index()] = Some(shared);
-                f2[pi.index()] = Some(shared);
-            }
-            TestPoint::ScanCell(_) => {
-                f1[pi.index()] = Some(shared);
-                scan_nodes.push(pi.index());
-            }
-        }
-    }
-    // The bit shifted in during the launch cycle.
-    let scan_in = out.add_input("scan_in".to_string());
-    // Frame-2 state: chain position j takes frame-1 position j−1;
-    // position 0 takes the fresh scan-in bit.
-    for (j, &node_index) in scan_nodes.iter().enumerate() {
-        f2[node_index] = Some(if j == 0 {
-            scan_in
-        } else {
-            f1[scan_nodes[j - 1]].expect("frame-1 scan input placed")
-        });
-    }
-    for (frame, prefix) in [(&mut f1, "f1"), (&mut f2, "f2")] {
-        for &id in &order {
-            if frame[id.index()].is_some() {
-                continue;
-            }
-            let node = m.node(id);
-            if node.kind == GateKind::Input {
-                unreachable!("input not wired in {prefix}: {}", node.name);
-            }
-            let fanin: Vec<NodeId> = node
-                .fanin
-                .iter()
-                .map(|f| frame[f.index()].expect("fanin placed"))
-                .collect();
-            let nid = out
-                .add_gate(format!("{prefix}.{}", node.name), node.kind, &fanin)
-                .map_err(AtpgError::from)?;
-            frame[id.index()] = Some(nid);
-        }
-    }
-    for &po in m.outputs() {
-        out.mark_output(f2[po.index()].expect("frame-2 output placed"));
-    }
-    out.validate().map_err(AtpgError::from)?;
-    Ok(TwoFrame {
-        circuit: out,
-        frame1: f1.into_iter().map(|x| x.expect("all placed")).collect(),
-        frame2: f2.into_iter().map(|x| x.expect("all placed")).collect(),
-    })
-}
-
 /// Generate launch-on-capture tests for every transition fault of a
-/// full-scan circuit (or test model).
+/// full-scan circuit (or test model) under a [`RunBudget`]: the budget
+/// is polled between faults and charged per PODEM backtrack; on a trip
+/// the remaining faults stay untargeted and [`TdfResult::exhausted`] is
+/// set.
 ///
 /// # Errors
 ///
@@ -323,6 +236,7 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
 /// # Example
 ///
 /// ```
+/// use modsoc_atpg::budget::RunBudget;
 /// use modsoc_atpg::tdf::run_tdf_atpg;
 /// use modsoc_netlist::bench_format::parse_bench;
 ///
@@ -333,99 +247,22 @@ pub fn unroll_los(model: &TestModel) -> Result<TwoFrame, AtpgError> {
 /// n1 = AND(a, b)
 /// y = AND(f1, b)
 /// ")?;
-/// let result = run_tdf_atpg(&circuit, 200)?;
+/// let result = run_tdf_atpg(&circuit, 200, &RunBudget::unlimited())?;
 /// assert!(result.detected > 0);
 /// assert!(!result.patterns.is_empty());
 /// # Ok(())
 /// # }
 /// ```
-pub fn run_tdf_atpg(circuit: &Circuit, backtrack_limit: u32) -> Result<TdfResult, AtpgError> {
-    run_tdf_atpg_with_scheme(circuit, backtrack_limit, LaunchScheme::Capture)
-}
-
-/// Generate transition tests under the chosen launch scheme.
-///
-/// # Errors
-///
-/// Propagates netlist and test-generation errors.
-pub fn run_tdf_atpg_with_scheme(
+pub fn run_tdf_atpg(
     circuit: &Circuit,
     backtrack_limit: u32,
-    scheme: LaunchScheme,
+    budget: &RunBudget,
 ) -> Result<TdfResult, AtpgError> {
     // Sequential circuits convert to their full-scan model; a purely
     // combinational design has no launch state, so every TDF comes out
     // untestable (still well-defined).
     let model = circuit.to_test_model().map_err(AtpgError::from)?;
-    let two = match scheme {
-        LaunchScheme::Capture => unroll_two_frames(&model)?,
-        LaunchScheme::Shift => unroll_los(&model)?,
-    };
-    run_tdf_over(
-        &model,
-        &two,
-        backtrack_limit,
-        &crate::budget::RunBudget::unlimited(),
-    )
-}
-
-/// [`run_tdf_atpg_with_scheme`] under a [`RunBudget`]: the budget is
-/// polled between faults and charged per PODEM backtrack; on a trip the
-/// remaining faults stay untargeted and
-/// [`TdfResult::exhausted`] is set.
-///
-/// # Errors
-///
-/// Propagates netlist and test-generation errors.
-pub fn run_tdf_atpg_budgeted(
-    circuit: &Circuit,
-    backtrack_limit: u32,
-    scheme: LaunchScheme,
-    budget: &crate::budget::RunBudget,
-) -> Result<TdfResult, AtpgError> {
-    let model = circuit.to_test_model().map_err(AtpgError::from)?;
-    let two = match scheme {
-        LaunchScheme::Capture => unroll_two_frames(&model)?,
-        LaunchScheme::Shift => unroll_los(&model)?,
-    };
-    run_tdf_over(&model, &two, backtrack_limit, budget)
-}
-
-/// [`run_tdf_atpg_budgeted`] reporting into a
-/// [`MetricsSink`](modsoc_metrics::MetricsSink): the whole flow is timed
-/// as one `tdf` phase, and the fault/detection/pattern totals land on the
-/// TDF counters. Results are identical to the unmetered entry point.
-///
-/// # Errors
-///
-/// Propagates netlist and test-generation errors.
-pub fn run_tdf_atpg_metered(
-    circuit: &Circuit,
-    backtrack_limit: u32,
-    scheme: LaunchScheme,
-    budget: &crate::budget::RunBudget,
-    sink: &dyn modsoc_metrics::MetricsSink,
-) -> Result<TdfResult, AtpgError> {
-    use modsoc_metrics::{Counter, Phase, PhaseTimer};
-    let result = {
-        let _t = PhaseTimer::start(sink, Phase::Tdf);
-        run_tdf_atpg_budgeted(circuit, backtrack_limit, scheme, budget)?
-    };
-    sink.add(Counter::TdfFaults, result.total as u64);
-    sink.add(Counter::TdfDetected, result.detected as u64);
-    sink.add(Counter::TdfPatterns, result.patterns.len() as u64);
-    if result.exhausted.is_some() {
-        sink.add(Counter::BudgetTrips, 1);
-    }
-    Ok(result)
-}
-
-fn run_tdf_over(
-    model: &TestModel,
-    two: &TwoFrame,
-    backtrack_limit: u32,
-    budget: &crate::budget::RunBudget,
-) -> Result<TdfResult, AtpgError> {
+    let two = unroll_two_frames(&model)?;
     let faults = enumerate_transition_faults(&model.circuit);
     // The unrolled circuit's structural index is shared between the
     // generator and the simulator.
@@ -469,7 +306,7 @@ fn run_tdf_over(
                     if detected_flags[j] {
                         continue;
                     }
-                    if tdf_mask(&mut fsim, two, other, &good, 1) != 0 {
+                    if tdf_mask(&mut fsim, &two, other, &good, 1) != 0 {
                         detected_flags[j] = true;
                     }
                 }
@@ -656,7 +493,7 @@ y = AND(f1, b)
 
     #[test]
     fn tdf_atpg_finds_transitions() {
-        let result = run_tdf_atpg(&seq(), 200).unwrap();
+        let result = run_tdf_atpg(&seq(), 200, &RunBudget::unlimited()).unwrap();
         assert!(result.total > 0);
         assert!(result.detected > 0, "some transitions are testable");
         assert_eq!(result.aborted, 0);
@@ -670,7 +507,7 @@ y = AND(f1, b)
         // reported detected count must be reachable by the final set.
         let c = seq();
         let model = c.to_test_model().unwrap();
-        let result = run_tdf_atpg(&c, 200).unwrap();
+        let result = run_tdf_atpg(&c, 200, &RunBudget::unlimited()).unwrap();
         let filled = result.patterns.fill_all(FillStrategy::default());
         let (_, flags) = tdf_coverage(&model, &filled).unwrap();
         let sim_detected = flags.iter().filter(|&&f| f).count();
@@ -686,52 +523,10 @@ y = AND(f1, b)
         // A combinational-only circuit has no launch state: every TDF is
         // untestable under LOC (PIs are held).
         let comb = parse_bench("c", "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
-        let result = run_tdf_atpg(&comb, 100).unwrap();
+        let result = run_tdf_atpg(&comb, 100, &RunBudget::unlimited()).unwrap();
         assert_eq!(result.detected, 0);
         assert_eq!(result.untestable, result.total);
         assert!((result.coverage() - 1.0).abs() < 1e-12, "0/0 testable");
-    }
-
-    #[test]
-    fn los_unrolling_shifts_state() {
-        use modsoc_netlist::sim::simulate_single;
-        let c = seq();
-        let model = c.to_test_model().unwrap();
-        let two = unroll_los(&model).unwrap();
-        // Inputs: a, b, f1-state, scan_in.
-        assert_eq!(two.circuit.input_count(), 4);
-        // With one scan cell, frame-2 state = scan_in directly.
-        // a=0, b=1, f1=0, scan_in=1: frame2 y = AND(1, b=1) = 1.
-        let vals = simulate_single(&two.circuit, &[false, true, false, true]).unwrap();
-        let y2 = two.circuit.outputs()[0];
-        assert!(vals[y2.index()]);
-    }
-
-    #[test]
-    fn los_coverage_at_least_loc() {
-        // LOS controls both frames directly, so it should never detect
-        // fewer transition faults than LOC on the same circuit.
-        let src = "
-INPUT(a)\nINPUT(b)\nINPUT(c)
-OUTPUT(y)
-f1 = DFF(n1)
-f2 = DFF(n2)
-f3 = DFF(n3)
-n1 = XOR(a, f2)
-n2 = NAND(b, f1)
-n3 = OR(n1, f3)
-y = AND(n3, f1, c)
-";
-        let circuit = parse_bench("los", src).unwrap();
-        let loc = run_tdf_atpg_with_scheme(&circuit, 400, LaunchScheme::Capture).unwrap();
-        let los = run_tdf_atpg_with_scheme(&circuit, 400, LaunchScheme::Shift).unwrap();
-        assert!(
-            los.detected >= loc.detected,
-            "los {} vs loc {}",
-            los.detected,
-            loc.detected
-        );
-        assert_eq!(los.aborted, 0);
     }
 
     #[test]
@@ -747,7 +542,7 @@ n3 = OR(n1, c)
 y = AND(n3, f1)
 ";
         let circuit = parse_bench("bigger", src).unwrap();
-        let result = run_tdf_atpg(&circuit, 500).unwrap();
+        let result = run_tdf_atpg(&circuit, 500, &RunBudget::unlimited()).unwrap();
         assert!(result.coverage() > 0.6, "coverage {}", result.coverage());
         assert_eq!(result.aborted, 0);
     }

@@ -475,7 +475,7 @@ pub fn run_soc_experiment_tdf(
     use modsoc_atpg::tdf::run_tdf_atpg;
 
     let results = WorkerPool::new(options.jobs.max(1)).map(netlist.cores(), |_, circuit| {
-        run_tdf_atpg(circuit, backtrack_limit)
+        run_tdf_atpg(circuit, backtrack_limit, &RunBudget::unlimited())
     });
 
     let mut assembly = Assembly::new(format!("{}.atspeed", netlist.name()), netlist.cores().len());
@@ -496,7 +496,11 @@ pub fn run_soc_experiment_tdf(
     }
 
     let mono = if options.monolithic {
-        let mono = run_tdf_atpg(&netlist.flatten()?, backtrack_limit)?;
+        let mono = run_tdf_atpg(
+            &netlist.flatten()?,
+            backtrack_limit,
+            &RunBudget::unlimited(),
+        )?;
         Some((mono.patterns.len() as u64, mono.coverage()))
     } else {
         None

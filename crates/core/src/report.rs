@@ -295,6 +295,7 @@ mod tests {
     use super::*;
     use crate::runctl::{analyze_soc_guarded, CoreFailure};
     use crate::tdv::TdvOptions;
+    use modsoc_metrics::NullSink;
     use modsoc_soc::{itc02, CoreSpec};
 
     /// `write_soc` → `parse_soc` is a fixed point on every SOC `modsoc
@@ -378,7 +379,7 @@ mod tests {
             .unwrap();
         soc.add_core(CoreSpec::leaf("poisoned", 1, 1, 0, u64::MAX, u64::MAX))
             .unwrap();
-        let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_1_2());
+        let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_1_2(), 1, &NullSink);
         let text = render_outcome_table(&completion.per_core_outcomes);
         assert!(text.contains("healthy"), "{text}");
         assert!(text.contains("ok"), "{text}");

@@ -90,11 +90,6 @@ impl Circuit {
         &self.name
     }
 
-    /// Rename the circuit.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// Number of nodes (inputs + gates + flip-flops).
     #[must_use]
     pub fn node_count(&self) -> usize {

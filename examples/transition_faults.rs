@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example transition_faults`
 
 use modsoc::atpg::tdf::{enumerate_transition_faults, run_tdf_atpg};
-use modsoc::atpg::{Atpg, AtpgOptions};
+use modsoc::atpg::{Atpg, AtpgOptions, RunBudget};
 use modsoc::circuitgen::{generate, CoreProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stuck.fault_coverage() * 100.0
     );
 
-    let tdf = run_tdf_atpg(&circuit, 400)?;
+    let tdf = run_tdf_atpg(&circuit, 400, &RunBudget::unlimited())?;
     println!(
         "transition flow: {:>4} patterns, {:>6.2}% coverage over LOC-testable \
          ({} detected, {} LOC-untestable, {} aborted of {})",

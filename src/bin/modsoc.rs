@@ -55,7 +55,7 @@ use modsoc::analysis::remote::HttpBackend;
 use modsoc::analysis::report::{
     fmt_u64, render_analyze_report, render_core_table, render_metrics_table, render_outcome_table,
 };
-use modsoc::analysis::runctl::analyze_soc_guarded_jobs_metered;
+use modsoc::analysis::runctl::analyze_soc_guarded;
 use modsoc::analysis::serve::{http_request, HttpClient, HttpResponse, ServeConfig, Server};
 use modsoc::analysis::tdv::core_tdv_checked;
 use modsoc::analysis::{RunBudget, SocTdvAnalysis, TdvOptions};
@@ -310,7 +310,7 @@ fn cmd_analyze(args: &[String]) -> Result<RunStatus, String> {
         // healthy cores still get their rows and the outcome table shows
         // who failed and why. Per-core arithmetic fans across the pool;
         // the output is identical at any --jobs value.
-        let completion = analyze_soc_guarded_jobs_metered(&soc, &options, jobs, &sink);
+        let completion = analyze_soc_guarded(&soc, &options, jobs, &sink);
         println!("{soc}");
         for row in &completion.result {
             println!(
@@ -1627,13 +1627,8 @@ fn cmd_tdf(args: &[String]) -> Result<RunStatus, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let circuit = parse_bench("circuit", &text).map_err(|e| e.to_string())?;
     let budget = budget_from_flags(args)?;
-    let result = modsoc::atpg::tdf::run_tdf_atpg_budgeted(
-        &circuit,
-        400,
-        modsoc::atpg::tdf::LaunchScheme::Capture,
-        &budget,
-    )
-    .map_err(|e| e.to_string())?;
+    let result =
+        modsoc::atpg::tdf::run_tdf_atpg(&circuit, 400, &budget).map_err(|e| e.to_string())?;
     println!(
         "transition faults: {} total, {} detected, {} LOC-untestable, {} aborted",
         result.total, result.detected, result.untestable, result.aborted

@@ -199,7 +199,9 @@ struct PaperSummary {
 /// One of Tables 1/2: the published rows (bit-exact from the
 /// transcribed table), then a live regeneration on synthetic
 /// ISCAS'89-lookalike cores wired per the paper's figure — per-core
-/// ATPG, flattened monolithic ATPG, and the TDV comparison.
+/// ATPG, flattened monolithic ATPG, and the TDV comparison. The live
+/// run must meet the paper's invariants: Equation 2 strict and 100%
+/// stuck-at coverage on every core and on the flattened design.
 fn soc_table(
     label: &str,
     soc: &Soc,
@@ -207,7 +209,7 @@ fn soc_table(
     paper: &PaperSummary,
     netlist: &SocNetlist,
     jobs: usize,
-) -> Result<SocExperiment, Box<dyn Error>> {
+) -> SectionResult {
     let published = SocTdvAnalysis::compute_with_measured_tmono(
         soc,
         &TdvOptions::tables_1_2(),
@@ -240,7 +242,35 @@ fn soc_table(
         exp.analysis.pessimistic_reduction_ratio(),
         paper.pessimistic
     );
-    Ok(exp)
+    check_eq2(label, &exp)?;
+    let coverages = exp
+        .cores
+        .iter()
+        .map(|c| (c.name.as_str(), c.fault_coverage));
+    for (name, coverage) in coverages.chain([("monolithic", exp.mono_coverage)]) {
+        if coverage < 1.0 {
+            return Err(format!(
+                "[{label}] {name} stuck-at coverage {:.4}% is below 100%",
+                coverage * 100.0
+            )
+            .into());
+        }
+    }
+    Ok(())
+}
+
+/// Equation 2 must hold strictly (`T_mono > max_i T_i`), as the paper
+/// observes on both SOCs.
+fn check_eq2(label: &str, exp: &SocExperiment) -> SectionResult {
+    if exp.eq2_strict {
+        return Ok(());
+    }
+    Err(format!(
+        "[{label}] equation 2 is not strict: T_mono {} vs max core {}",
+        exp.t_mono,
+        exp.soc.max_core_patterns()
+    )
+    .into())
 }
 
 /// Table 1: SOC1 (s713 + s953 + 3×s1423, Figure 4).
@@ -251,18 +281,14 @@ fn table1(jobs: usize) -> SectionResult {
         pessimism: 2.5,
     };
     let netlist = modsoc::circuitgen::soc::soc1(1)?;
-    let exp = soc_table(
+    soc_table(
         "Table 1 / SOC1",
         &itc02::soc1(),
         itc02::SOC1_MEASURED_TMONO,
         &paper,
         &netlist,
         jobs,
-    )?;
-    if !exp.eq2_strict {
-        return Err("equation 2 should be strict on SOC1 (paper: 216 > 85)".into());
-    }
-    Ok(())
+    )
 }
 
 /// Table 2: SOC2 (s953 + s5378 + s13207 + s15850, Figure 5); the live
@@ -274,18 +300,14 @@ fn table2(jobs: usize) -> SectionResult {
         pessimism: 2.1,
     };
     let netlist = modsoc::circuitgen::soc::soc2(1)?;
-    let exp = soc_table(
+    soc_table(
         "Table 2 / SOC2",
         &itc02::soc2(),
         itc02::SOC2_MEASURED_TMONO,
         &paper,
         &netlist,
         jobs,
-    )?;
-    if !exp.eq2_strict {
-        eprintln!("note: equation 2 was not strict on this seed");
-    }
-    Ok(())
+    )
 }
 
 /// Table 3: the per-core TDV computation for the hierarchical ITC'02
@@ -523,7 +545,7 @@ fn atspeed(jobs: usize) -> SectionResult {
         exp.analysis.reduction_ratio(),
         stuck_at.analysis.reduction_ratio()
     );
-    Ok(())
+    check_eq2("at-speed SOC1", &exp)
 }
 
 /// Extension: SOC test time vs TAM width per architecture on p34392 —

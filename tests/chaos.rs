@@ -8,13 +8,11 @@
 
 use std::time::{Duration, Instant};
 
-use modsoc::analysis::chaos::{
-    run_bench_chaos, run_bench_chaos_jobs, run_soc_chaos, run_soc_chaos_jobs, ChaosRng,
-    ALL_CORRUPTIONS,
-};
+use modsoc::analysis::chaos::{run_bench_chaos, run_soc_chaos, ChaosRng, ALL_CORRUPTIONS};
 use modsoc::analysis::runctl::{analyze_soc_guarded, CoreFailure, CoreOutcomeKind};
 use modsoc::analysis::{RunBudget, TdvOptions};
 use modsoc::atpg::{Atpg, AtpgOptions, ExhaustReason};
+use modsoc::metrics::NullSink;
 use modsoc::netlist::bench_format::parse_bench;
 use modsoc::soc::format::parse_soc;
 
@@ -47,7 +45,7 @@ core c i=2 o=2 b=0 s=8 t=30
 fn bench_chaos_sweep_200_cases_no_panics() {
     // Fan the fixed-seed sweep across the pool; per-case RNG derivation
     // keeps every case identical to a serial run.
-    let report = run_bench_chaos_jobs(BASE_BENCH, 200, CHAOS_SEED, 0);
+    let report = run_bench_chaos(BASE_BENCH, 200, CHAOS_SEED, 0);
     assert_eq!(report.cases, 200);
     assert!(report.no_panics(), "panics escaped: {:?}", report.panics);
     // Every case lands in exactly one bucket.
@@ -61,7 +59,7 @@ fn bench_chaos_sweep_200_cases_no_panics() {
 
 #[test]
 fn soc_chaos_sweep_200_cases_no_panics() {
-    let report = run_soc_chaos_jobs(BASE_SOC, 200, CHAOS_SEED, 0);
+    let report = run_soc_chaos(BASE_SOC, 200, CHAOS_SEED, 0);
     assert_eq!(report.cases, 200);
     assert!(report.no_panics(), "panics escaped: {:?}", report.panics);
     assert_eq!(report.ok + report.degraded + report.typed_errors, 200);
@@ -71,11 +69,11 @@ fn soc_chaos_sweep_200_cases_no_panics() {
 
 #[test]
 fn chaos_sweeps_are_deterministic_for_a_seed() {
-    let a = run_bench_chaos(BASE_BENCH, 40, 1234);
-    let b = run_bench_chaos(BASE_BENCH, 40, 1234);
+    let a = run_bench_chaos(BASE_BENCH, 40, 1234, 1);
+    let b = run_bench_chaos(BASE_BENCH, 40, 1234, 1);
     assert_eq!(a, b);
-    let c = run_soc_chaos(BASE_SOC, 40, 1234);
-    let d = run_soc_chaos(BASE_SOC, 40, 1234);
+    let c = run_soc_chaos(BASE_SOC, 40, 1234, 1);
+    let d = run_soc_chaos(BASE_SOC, 40, 1234, 1);
     assert_eq!(c, d);
 }
 
@@ -84,9 +82,9 @@ fn chaos_sweeps_are_deterministic_for_a_seed() {
 /// field for field at every job count.)
 #[test]
 fn parallel_soc_chaos_sweep_matches_serial() {
-    let serial = run_soc_chaos(BASE_SOC, 200, CHAOS_SEED);
-    for jobs in [2, 4, 8] {
-        let parallel = run_soc_chaos_jobs(BASE_SOC, 200, CHAOS_SEED, jobs);
+    let serial = run_soc_chaos(BASE_SOC, 200, CHAOS_SEED, 1);
+    for jobs in [0, 2, 4, 8] {
+        let parallel = run_soc_chaos(BASE_SOC, 200, CHAOS_SEED, jobs);
         assert_eq!(parallel, serial, "jobs={jobs}");
     }
 }
@@ -102,7 +100,7 @@ core poisoned i=1 o=1 b=0 s=18446744073709551615 t=18446744073709551615
 core good_b i=2 o=2 b=0 s=10 t=50
 ";
     let soc = parse_soc(source).expect("parses: the counts are valid u64s");
-    let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_1_2());
+    let completion = analyze_soc_guarded(&soc, &TdvOptions::tables_1_2(), 1, &NullSink);
     assert_eq!(completion.result.len(), 2, "healthy cores keep their rows");
     assert!(completion.result.iter().any(|r| r.name == "good_a"));
     assert!(completion.result.iter().any(|r| r.name == "good_b"));
@@ -194,7 +192,7 @@ fn every_corruption_operator_is_survivable() {
             let source = op.apply(BASE_SOC, &mut rng);
             match parse_soc(&source) {
                 Ok(s) => {
-                    let _ = analyze_soc_guarded(&s, &TdvOptions::tables_3_4());
+                    let _ = analyze_soc_guarded(&s, &TdvOptions::tables_3_4(), 1, &NullSink);
                 }
                 Err(e) => assert!(!e.to_string().is_empty(), "{op:?}"),
             }

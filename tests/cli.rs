@@ -302,6 +302,45 @@ fn atpg_pattern_cap_returns_partial_with_exit_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Launch-on-capture TDF generation on the generated fixture: the
+/// pinned fault accounting and pattern count, the written pattern file
+/// (one line per pattern over 8 primary inputs + 6 scan cells), and an
+/// immediate partial result under a zero deadline.
+#[test]
+fn tdf_pins_fixture_counts_and_writes_patterns() {
+    let (dir, bench) = generated_bench("tdf");
+    let bench = bench.to_str().expect("utf8 path");
+    let patterns = dir.join("tdf.txt");
+    let out = modsoc(&[
+        "tdf",
+        bench,
+        "--patterns-out",
+        patterns.to_str().expect("utf8 path"),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("144 total, 115 detected, 29 LOC-untestable, 0 aborted"),
+        "{text}"
+    );
+    assert!(text.contains("21 launch-on-capture patterns"), "{text}");
+    let written = std::fs::read_to_string(&patterns).expect("patterns written");
+    let lines: Vec<&str> = written.lines().collect();
+    assert_eq!(lines.len(), 21);
+    assert!(lines.iter().all(|l| l.len() == 14), "{written}");
+
+    let out = modsoc(&["tdf", bench, "--timeout-ms", "0"]);
+    assert_eq!(out.status.code(), Some(2), "partial exit code");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("partial"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn analyze_poisoned_core_errors_strict_but_degrades_with_keep_going() {
     let dir = std::env::temp_dir().join(format!("modsoc_cli_kg_{}", std::process::id()));
