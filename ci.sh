@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite, the chaos
+# Local CI gate: formatting, lints, rustdoc, the full test suite, the chaos
 # sweeps under a pinned seed, CLI smoke runs, and the parallel/metrics
 # determinism gates. Run from the repo root; exits nonzero on the first
 # failure.
@@ -37,6 +37,12 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (rustdoc warnings are errors)"
+# Catches dangling intra-doc links left behind by a deleted module or
+# function. The vendored proptest/rand shims are excluded: they are
+# stand-ins with their own doc warnings, not project code.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --exclude proptest --exclude rand
 
 echo "== cargo test (workspace)"
 cargo test -q --workspace

@@ -158,16 +158,6 @@ impl RunBudget {
         self.backtracks_used.load(Ordering::Relaxed)
     }
 
-    /// Whether no limit is configured at all (the fast path can skip
-    /// per-iteration checks).
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_backtracks_total.is_none()
-            && self.max_patterns.is_none()
-            && !self.is_cancelled()
-    }
-
     /// Check the deadline and cancellation flag.
     #[must_use]
     pub fn check(&self) -> Option<ExhaustReason> {
@@ -249,7 +239,6 @@ mod tests {
     #[test]
     fn unlimited_never_trips() {
         let b = RunBudget::unlimited();
-        assert!(b.is_unlimited());
         assert_eq!(b.check(), None);
         assert_eq!(b.check_with_patterns(usize::MAX), None);
         for _ in 0..100 {

@@ -52,7 +52,9 @@ pub const CACHE_CONTEXT: &str = "modsoc-atpg-cache-v1";
 
 /// Stable fingerprint of the options fields that influence generated
 /// patterns. Its text is part of every cache key, so changing it orphans
-/// every warmed store.
+/// every warmed store. `dyn=0` is a fixed literal: the engine once had a
+/// dynamic-compaction option, and keeping its off value in the text keeps
+/// stores warmed by those builds hitting.
 #[must_use]
 pub fn options_fingerprint(options: &AtpgOptions) -> String {
     let fill = match options.fill {
@@ -61,13 +63,12 @@ pub fn options_fingerprint(options: &AtpgOptions) -> String {
         FillStrategy::Random { seed } => format!("random:{seed}"),
     };
     format!(
-        "bt={};rb={};seed={};fill={};merge={};dyn={};rev={}",
+        "bt={};rb={};seed={};fill={};merge={};dyn=0;rev={}",
         options.backtrack_limit,
         options.random_batches,
         options.seed,
         fill,
         u8::from(options.merge_cubes),
-        u8::from(options.dynamic_compaction),
         u8::from(options.reverse_compaction),
     )
 }
@@ -419,10 +420,6 @@ q = XOR(g1, g2)
             },
             AtpgOptions {
                 merge_cubes: !base.merge_cubes,
-                ..base.clone()
-            },
-            AtpgOptions {
-                dynamic_compaction: !base.dynamic_compaction,
                 ..base.clone()
             },
             AtpgOptions {

@@ -39,11 +39,6 @@ pub struct AtpgOptions {
     pub fill: FillStrategy,
     /// Merge compatible deterministic cubes (static compaction).
     pub merge_cubes: bool,
-    /// Merge each new PODEM cube into the growing pattern set *as it is
-    /// generated* (dynamic compaction) instead of post-processing. Fault
-    /// dropping then simulates the merged pattern, so incidental
-    /// detection improves and pattern counts typically shrink further.
-    pub dynamic_compaction: bool,
     /// Run reverse-order fault-simulation compaction on the final set.
     pub reverse_compaction: bool,
 }
@@ -56,7 +51,6 @@ impl Default for AtpgOptions {
             seed: 0x5EED_50C1,
             fill: FillStrategy::default(),
             merge_cubes: true,
-            dynamic_compaction: false,
             reverse_compaction: true,
         }
     }
@@ -159,20 +153,6 @@ impl AtpgResult {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.exhausted.is_none()
-    }
-
-    /// Per-fault n-detect counts of the final (filled) pattern set over
-    /// the collapsed representatives, in `fault_statuses` order — the
-    /// industrial pattern-quality metric (see
-    /// [`crate::fault_sim::detection_counts`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn n_detect_counts(&self, circuit: &Circuit) -> Result<Vec<u32>, AtpgError> {
-        let faults: Vec<Fault> = self.fault_statuses.iter().map(|(f, _)| *f).collect();
-        let filled = self.patterns.fill_all(self.fill);
-        crate::fault_sim::detection_counts(circuit, &filled, &faults)
     }
 }
 
@@ -390,33 +370,11 @@ impl Atpg {
                 PodemOutcome::Test(cube) => {
                     status[i] = FaultStatus::Detected;
                     generated_cubes += 1;
-                    // Under dynamic compaction, merge the fresh cube into
-                    // the first compatible pattern and simulate the merged
-                    // pattern; otherwise keep per-cube patterns.
-                    let slot = if self.options.dynamic_compaction {
-                        match det_cubes.cubes().iter().position(|m| m.compatible(&cube)) {
-                            Some(k) => {
-                                let mut merged = det_cubes.cubes()[k].clone();
-                                merged.merge_in_place(&cube);
-                                det_cubes.remove(k);
-                                // Reinsert at the same position semantics:
-                                // order is irrelevant for detection, push.
-                                det_cubes.push(merged);
-                                det_cubes.len() - 1
-                            }
-                            None => {
-                                det_cubes.push(cube);
-                                det_cubes.len() - 1
-                            }
-                        }
-                    } else {
-                        det_cubes.push(cube);
-                        det_cubes.len() - 1
-                    };
-                    // Drop other faults detected by this (possibly merged)
-                    // pattern under the engine fill; incidental detections
-                    // are re-verified after merging.
-                    let filled = vec![det_cubes.cubes()[slot].fill_keyed(self.options.fill)];
+                    // Drop other faults detected by this cube under the
+                    // engine fill; incidental detections are re-verified
+                    // after merging.
+                    let filled = vec![cube.fill_keyed(self.options.fill)];
+                    det_cubes.push(cube);
                     let undetected: Vec<usize> = (0..reps.len())
                         .filter(|&j| status[j] == FaultStatus::Undetected)
                         .collect();
@@ -436,10 +394,9 @@ impl Atpg {
         drop(podem_timer);
         stats.deterministic_cubes = generated_cubes;
 
-        // --- Phase 3: static merge of deterministic cubes (skipped when
-        // dynamic compaction already merged them). ---
+        // --- Phase 3: static merge of deterministic cubes. ---
         let det_cube_count = det_cubes.len();
-        let merged = if self.options.merge_cubes && !self.options.dynamic_compaction {
+        let merged = if self.options.merge_cubes {
             let _t = PhaseTimer::start(sink, Phase::StaticCompaction);
             merge_compatible(&det_cubes)
         } else {
@@ -663,36 +620,6 @@ g23 = NAND(g16, g19)
             .unwrap();
         assert!(tight.pattern_count() <= loose.pattern_count());
         assert!((tight.fault_coverage() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dynamic_compaction_preserves_coverage() {
-        let mut opts = AtpgOptions::deterministic_only();
-        opts.dynamic_compaction = true;
-        let dynamic = Atpg::new(opts).run(&c17()).unwrap();
-        let static_ = Atpg::new(AtpgOptions::deterministic_only())
-            .run(&c17())
-            .unwrap();
-        assert!((dynamic.fault_coverage() - 1.0).abs() < 1e-12);
-        // Dynamic merging sees incidental detections earlier, so it
-        // should never need more patterns than the static flow.
-        assert!(dynamic.pattern_count() <= static_.pattern_count() + 1);
-    }
-
-    #[test]
-    fn n_detect_counts_consistent_with_statuses() {
-        let c = c17();
-        let r = Atpg::new(AtpgOptions::default()).run(&c).unwrap();
-        let counts = r.n_detect_counts(&c).unwrap();
-        for ((fault, status), &n) in r.fault_statuses.iter().zip(&counts) {
-            match status {
-                FaultStatus::Detected => {
-                    assert!(n >= 1, "{} marked detected but n=0", fault.describe(&c));
-                }
-                FaultStatus::Redundant => assert_eq!(n, 0),
-                _ => {}
-            }
-        }
     }
 
     #[test]

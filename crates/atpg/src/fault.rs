@@ -158,8 +158,9 @@ pub fn enumerate_faults_with(circuit: &Circuit, index: &StructuralIndex) -> Vec<
 /// circuit (≤ 20 inputs): simulate every input vector and report
 /// whether any detects it.
 ///
-/// The reference oracle the PODEM and fault-simulation tests check
-/// against; also useful for certifying redundancy claims on glue logic.
+/// The reference oracle the PODEM soundness property test checks every
+/// redundancy claim against; also useful for certifying redundancy
+/// claims on glue logic.
 ///
 /// # Errors
 ///

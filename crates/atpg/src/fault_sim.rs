@@ -9,18 +9,18 @@
 //! - **`u64`** — 64 patterns per pass. Used wherever a 64-slot batch is
 //!   semantically visible (the engine's random-phase keep/drop
 //!   bookkeeping, single-pattern fault dropping in PODEM/TDF/BIST
-//!   top-up, diagnosis syndromes).
+//!   top-up).
 //! - **[`SimBlock`]** (`[u64; 8]`) — 512 patterns per pass, written so
 //!   the autovectorizer lifts the lane loops to 256/512-bit SIMD. The
 //!   bulk sweeps ([`FaultSimulator::detected_over`],
-//!   [`detection_counts`], [`fault_coverage`], compaction/diagnosis
-//!   matrices, TDF/BIST coverage) run on this width by default.
+//!   [`detection_counts`], [`fault_coverage`], the compaction matrix,
+//!   TDF/BIST coverage) run on this width by default.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
 //! contiguous, so wide gate evaluation streams cache lines.
 //!
 //! Both widths produce bit-identical detection verdicts; the unit-test
-//! oracles here and in the compaction/diagnosis/TDF/BIST modules pin
+//! oracles here and in the compaction/TDF/BIST modules pin
 //! every blocked sweep to the single-word path.
 
 use std::collections::BinaryHeap;
@@ -43,7 +43,7 @@ pub const BUDGET_POLL_STRIDE: usize = 256;
 /// `n` bits set, saturating at the full word for `n >= 64`.
 ///
 /// This is the *one* place the `n == 64` shift-overflow special case
-/// lives; every `chunks(64)` tail in the fault-sim/diagnosis/TDF paths
+/// lives; every `chunks(64)` tail in the fault-sim/TDF paths
 /// must come through here rather than hand-rolling `(1 << n) - 1`.
 #[must_use]
 pub fn active_mask(n: usize) -> u64 {
@@ -59,7 +59,7 @@ pub fn active_mask(n: usize) -> u64 {
 /// shift special case still has exactly one home. Every
 /// `chunks(BLOCK_BITS)` tail in the blocked sweeps must come through
 /// here — this is the tail-mask contract shared with the
-/// diagnosis/TDF/compaction matrices.
+/// TDF/compaction matrices.
 #[must_use]
 pub fn block_active_mask(n: usize) -> SimBlock {
     let mut mask = [0u64; BLOCK_WORDS];
@@ -402,19 +402,6 @@ impl<'a> FaultSimulator<'a> {
             .detection_mask(circuit, index, good, *active, fault)
     }
 
-    /// Per-output detection masks for one fault: element `k` is the
-    /// pattern mask on which primary output `k` mismatches. One faulty
-    /// propagation serves all outputs.
-    pub fn output_detection_masks(&mut self, good: &[u64], active: u64, fault: Fault) -> Vec<u64> {
-        self.narrow
-            .propagate(self.circuit, &self.index, good, fault);
-        self.circuit
-            .outputs()
-            .iter()
-            .map(|&po| (good[po.index()] ^ self.narrow.value_of(po, good)) & active)
-            .collect()
-    }
-
     /// Detection masks for a whole fault list against one batch.
     ///
     /// # Errors
@@ -582,7 +569,7 @@ pub fn detection_counts(
 }
 
 /// Fixtures shared by the wide-vs-narrow oracle tests of every blocked
-/// sweep (here and in the compaction, diagnosis, TDF and BIST modules).
+/// sweep (here and in the compaction, TDF and BIST modules).
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;

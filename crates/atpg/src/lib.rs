@@ -15,16 +15,11 @@
 //!   dropping ([`fault_sim`]),
 //! * test **cubes/pattern sets** with don't-cares, merging and fill
 //!   ([`pattern`]),
-//! * static, dynamic and reverse-order **compaction** ([`compact`],
-//!   [`engine`]),
+//! * static and reverse-order **compaction** ([`compact`]),
 //! * a top-level engine that sequences random-pattern bootstrap,
 //!   deterministic PODEM and compaction ([`engine`]),
-//! * cause-effect **fault diagnosis** from tester syndromes
-//!   ([`diagnose`]),
 //! * logic **BIST** — Galois LFSR/MISR, coverage ramps and a hybrid
-//!   BIST + deterministic top-up flow ([`bist`]),
-//! * EDT-style **test data compression** with a GF(2) cube solver
-//!   ([`compress`]), and
+//!   BIST + deterministic top-up flow ([`bist`]), and
 //! * **transition-delay fault ATPG** under launch-on-capture ([`tdf`]).
 //!
 //! The engine's observable behaviour reproduces the phenomena the paper's
@@ -61,8 +56,6 @@ pub mod budget;
 pub mod cache;
 pub mod collapse;
 pub mod compact;
-pub mod compress;
-pub mod diagnose;
 pub mod engine;
 pub mod error;
 pub mod fault;

@@ -325,15 +325,6 @@ impl TestSet {
         self.cubes.iter()
     }
 
-    /// Remove and return the cube at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn remove(&mut self, index: usize) -> TestCube {
-        self.cubes.remove(index)
-    }
-
     /// Keep only the cubes at the given (sorted, deduplicated) indices.
     pub fn retain_indices(&mut self, keep: &[usize]) {
         let mut flag = vec![false; self.cubes.len()];
@@ -355,12 +346,6 @@ impl TestSet {
     #[must_use]
     pub fn stimulus_bits(&self) -> u64 {
         self.cubes.len() as u64 * self.width as u64
-    }
-
-    /// Total *specified* stimulus bits (care bits only).
-    #[must_use]
-    pub fn care_bits(&self) -> u64 {
-        self.cubes.iter().map(|c| c.specified_count() as u64).sum()
     }
 
     /// Fill every cube into fully-specified boolean patterns.
@@ -509,7 +494,6 @@ mod tests {
         s.push(TestCube::from_bits(vec![Bit::X, Bit::Zero, Bit::One]));
         assert_eq!(s.len(), 2);
         assert_eq!(s.stimulus_bits(), 6);
-        assert_eq!(s.care_bits(), 3);
     }
 
     #[test]

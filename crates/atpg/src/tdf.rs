@@ -206,7 +206,7 @@ pub struct TdfResult {
     pub aborted: usize,
     /// Total faults targeted.
     pub total: usize,
-    /// `Some` when a [`RunBudget`](crate::budget::RunBudget) tripped and
+    /// `Some` when a [`RunBudget`] tripped and
     /// the result is partial (untargeted faults count as undetected).
     pub exhausted: Option<crate::budget::BudgetExhausted>,
 }

@@ -13,7 +13,7 @@
 //! modsoc store <gc|verify> <DIR> [--max-bytes N]
 //! modsoc serve [--addr HOST:PORT] [--workers N] [--queue N] [--store DIR] [...]
 //! modsoc loadgen --addr HOST:PORT [--requests N] [--concurrency N] [--flood N] [...]
-//! modsoc atpg <file.bench> [--dynamic] [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
+//! modsoc atpg <file.bench> [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
 //!                          [--patterns-out FILE] [--verilog-out FILE]
 //! modsoc generate --inputs N --outputs N --scan N [--seed S] [--bench-out FILE] [--verilog-out FILE]
 //! modsoc cones <file.bench>
@@ -59,7 +59,7 @@ use modsoc::analysis::runctl::analyze_soc_guarded;
 use modsoc::analysis::serve::{http_request, HttpClient, HttpResponse, ServeConfig, Server};
 use modsoc::analysis::tdv::core_tdv_checked;
 use modsoc::analysis::{RunBudget, SocTdvAnalysis, TdvOptions};
-use modsoc::atpg::{Atpg, AtpgOptions};
+use modsoc::atpg::Atpg;
 use modsoc::circuitgen::{generate, CoreProfile};
 use modsoc::metrics::NullSink;
 use modsoc::netlist::bench_format::{parse_bench, write_bench};
@@ -119,7 +119,7 @@ const USAGE: &str = "usage:
                  [--keep-alive] [--bodies-out FILE] [--json FILE] [--check FILE]
                  [--label NAME] [--tolerance F]
                  [--flood N] [--analyze-file FILE.soc] [--shutdown] [--dump-metrics]
-  modsoc atpg <file.bench> [--dynamic] [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
+  modsoc atpg <file.bench> [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
                            [--patterns-out FILE] [--verilog-out FILE]
   modsoc generate --inputs N --outputs N --scan N [--seed S] [--bench-out FILE] [--verilog-out FILE]
   modsoc cones <file.bench>
@@ -191,8 +191,7 @@ fn positional(args: &[String]) -> Option<&str> {
         if a.starts_with("--") {
             skip = !matches!(
                 a.as_str(),
-                "--dynamic"
-                    | "--exclude-chip-pins"
+                "--exclude-chip-pins"
                     | "--keep-going"
                     | "--fail-fast"
                     | "--skip-monolithic"
@@ -1433,7 +1432,7 @@ fn cmd_store(args: &[String]) -> Result<RunStatus, String> {
 fn cmd_atpg(args: &[String]) -> Result<RunStatus, String> {
     check_flags(
         args,
-        &["--dynamic"],
+        &[],
         &[
             "--timeout-ms",
             "--max-patterns",
@@ -1452,11 +1451,7 @@ fn cmd_atpg(args: &[String]) -> Result<RunStatus, String> {
     println!("{}", CircuitStats::of(&circuit).map_err(|e| e.to_string())?);
 
     let budget = budget_from_flags(args)?;
-    let options = AtpgOptions {
-        dynamic_compaction: has_flag(args, "--dynamic"),
-        ..AtpgOptions::default()
-    };
-    let result = Atpg::new(options)
+    let result = Atpg::default()
         .run_budgeted(&circuit, &budget)
         .map_err(|e| e.to_string())?;
     println!(
