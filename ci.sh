@@ -20,7 +20,7 @@ cd "$(dirname "$0")"
 workdir="$(mktemp -d)"
 pids=()
 cleanup() {
-  # A failed gate must not leave daemons (or campaign workers) behind:
+  # A failed gate must not leave daemons behind:
   # a surviving serve process keeps its port bound and makes the next
   # local run fail on bind. Kill every registered background pid before
   # dropping the workdir.
@@ -148,6 +148,15 @@ grep -q " ok " "$workdir/camp1.txt" \
 ./target/release/modsoc campaign "$workdir/campaign.json" --store "$store" > "$workdir/camp2.txt" 2>/dev/null
 [ "$(grep -c "skipped" "$workdir/camp2.txt")" -eq 2 ] \
   || { echo "FAIL: re-invoked campaign did not skip its journaled units"; cat "$workdir/camp2.txt"; exit 1; }
+# The store the runs leave behind sweeps clean, and a size-bounded GC
+# pass keeps it clean (journals are never collected).
+./target/release/modsoc store verify "$store" > /dev/null \
+  || { echo "FAIL: campaign store has corrupt entries"; exit 1; }
+./target/release/modsoc store gc "$store" --max-bytes 8192 > "$workdir/gc.txt" 2>/dev/null
+grep -q "store gc: scanned" "$workdir/gc.txt" \
+  || { echo "FAIL: store gc produced no report"; cat "$workdir/gc.txt"; exit 1; }
+./target/release/modsoc store verify "$store" > /dev/null \
+  || { echo "FAIL: store corrupt after gc"; exit 1; }
 
 echo "== serve gate (daemon parity, shedding, graceful drain)"
 # The service layer's contract: a served analyze is byte-identical to
@@ -238,79 +247,5 @@ fi
 ./target/release/modsoc loadgen --addr "$serve3_addr" --shutdown > /dev/null
 wait "$serve3_pid" \
   || { echo "FAIL: keep-alive daemon did not exit 0 after POST /shutdown"; exit 1; }
-
-echo "== distributed campaign gate (two workers, one daemon, kill + resume)"
-# The remote-store contract: concurrent `campaign --store-url` workers
-# over one spec partition the units via claims (each unit's engine work
-# runs exactly once — store write-count parity with a single local run),
-# a worker killed mid-run loses nothing (its lease expires and peers or
-# a rerun take over), and the merged journal + store sweep clean.
-printf '%s' '{"schema":1,"name":"dist","units":[{"name":"d1","soc":"mini","seed":31},{"name":"d2","soc":"mini","seed":37},{"name":"d3","soc":"mini","seed":41},{"name":"d4","soc":"mini","seed":43}]}' > "$workdir/dist.json"
-# Local baseline: the engine-write cost of one full single-process run.
-base_store="$workdir/dist_base"
-./target/release/modsoc campaign "$workdir/dist.json" --store "$base_store" \
-  > "$workdir/dist_base.txt" 2> "$workdir/dist_base_err.txt"
-base_writes="$(sed -n 's/.*misses, \([0-9]*\) writes.*/\1/p' "$workdir/dist_base_err.txt")"
-[ -n "$base_writes" ] && [ "$base_writes" -gt 0 ] \
-  || { echo "FAIL: baseline campaign reported no store writes"; cat "$workdir/dist_base_err.txt"; exit 1; }
-
-dist_store="$workdir/dist_store"
-./target/release/modsoc serve --addr 127.0.0.1:0 --workers 2 --store "$dist_store" \
-  > "$workdir/serve4.log" 2>/dev/null &
-serve4_pid=$!
-pids+=("$serve4_pid")
-for _ in $(seq 1 50); do
-  grep -q "listening on" "$workdir/serve4.log" && break
-  sleep 0.1
-done
-serve4_addr="$(sed -n 's|.*http://||p' "$workdir/serve4.log")"
-[ -n "$serve4_addr" ] || { echo "FAIL: distributed-gate serve did not report its address"; exit 1; }
-
-# Two concurrent workers; kill one mid-run (SIGKILL: no cleanup, its
-# claim must simply stop being renewed and expire).
-./target/release/modsoc campaign "$workdir/dist.json" --store-url "http://$serve4_addr" \
-  --owner w1 --claim-lease-ms 2000 > "$workdir/dist_w1.txt" 2>/dev/null &
-w1_pid=$!
-pids+=("$w1_pid")
-./target/release/modsoc campaign "$workdir/dist.json" --store-url "http://$serve4_addr" \
-  --owner w2 --claim-lease-ms 2000 > "$workdir/dist_w2.txt" 2>/dev/null &
-w2_pid=$!
-pids+=("$w2_pid")
-sleep 0.4
-kill -9 "$w2_pid" 2>/dev/null || true
-wait "$w2_pid" 2>/dev/null || true
-wait "$w1_pid" \
-  || { echo "FAIL: surviving worker did not complete the campaign"; cat "$workdir/dist_w1.txt"; exit 1; }
-# Rerun the killed worker: everything is journaled by now, so it must
-# skip all units and recompute nothing.
-./target/release/modsoc campaign "$workdir/dist.json" --store-url "http://$serve4_addr" \
-  --owner w2-retry --claim-lease-ms 2000 > "$workdir/dist_resume.txt" 2> "$workdir/dist_resume_err.txt" \
-  || { echo "FAIL: rerun of the killed worker did not complete"; cat "$workdir/dist_resume.txt"; exit 1; }
-[ "$(grep -c "skipped" "$workdir/dist_resume.txt")" -eq 4 ] \
-  || { echo "FAIL: merged journal incomplete after kill + rerun"; cat "$workdir/dist_resume.txt"; exit 1; }
-# Byte parity: the remote resume report must match a local resume of the
-# baseline store line for line.
-./target/release/modsoc campaign "$workdir/dist.json" --store "$base_store" \
-  > "$workdir/dist_base2.txt" 2>/dev/null
-diff "$workdir/dist_base2.txt" "$workdir/dist_resume.txt" \
-  || { echo "FAIL: remote campaign report diverges from the local-store run"; exit 1; }
-# Write parity: the daemon's store saw exactly one full run's writes —
-# zero units were computed twice across both workers and the rerun.
-./target/release/modsoc loadgen --addr "$serve4_addr" --dump-metrics > "$workdir/dist_metrics.json"
-dist_writes="$(sed -n 's/.*"store":{[^}]*"writes":\([0-9]*\).*/\1/p' "$workdir/dist_metrics.json")"
-[ "$dist_writes" = "$base_writes" ] \
-  || { echo "FAIL: shared store writes ($dist_writes) != single-run writes ($base_writes): duplicated work"; exit 1; }
-./target/release/modsoc loadgen --addr "$serve4_addr" --shutdown > /dev/null
-wait "$serve4_pid" \
-  || { echo "FAIL: distributed-gate daemon did not exit 0 after POST /shutdown"; exit 1; }
-# The store the daemon leaves behind sweeps clean, and a size-bounded GC
-# pass keeps it clean (journals are never collected).
-./target/release/modsoc store verify "$dist_store" \
-  || { echo "FAIL: distributed store has corrupt entries"; exit 1; }
-./target/release/modsoc store gc "$dist_store" --max-bytes 8192 > "$workdir/dist_gc.txt" 2>/dev/null
-grep -q "store gc: scanned" "$workdir/dist_gc.txt" \
-  || { echo "FAIL: store gc produced no report"; cat "$workdir/dist_gc.txt"; exit 1; }
-./target/release/modsoc store verify "$dist_store" \
-  || { echo "FAIL: store corrupt after gc"; exit 1; }
 
 echo "CI gate passed."

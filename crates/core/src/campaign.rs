@@ -28,11 +28,9 @@ use modsoc_atpg::options_fingerprint;
 use modsoc_circuitgen::soc::{mini_soc, soc1, soc2};
 use modsoc_circuitgen::{generate, CoreProfile, PortSource, SocNetlist};
 use modsoc_metrics::json::{self, JsonValue};
-use modsoc_metrics::{Counter, MetricsSink};
+use modsoc_metrics::MetricsSink;
 use modsoc_store::sha256::Sha256;
-use modsoc_store::{ClaimOutcome, JournalEntry, ResultStore, StoreKey};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use modsoc_store::{JournalEntry, ResultStore, StoreKey};
 
 use crate::error::AnalysisError;
 use crate::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
@@ -633,259 +631,6 @@ where
     Ok(CampaignReport {
         name: spec.name.clone(),
         units: rows,
-    })
-}
-
-/// Claim-loop configuration for [`run_campaign_claimed`]: how a worker
-/// identifies itself, how long its unit leases live, and how long it
-/// waits out units held by other workers before reporting them partial.
-#[derive(Debug, Clone)]
-pub struct ClaimOptions {
-    /// Claim owner tag — must be unique per concurrent worker (the
-    /// default embeds the process id).
-    pub owner: String,
-    /// Claim lease: a worker that dies mid-unit stops renewing, and
-    /// after this long its claim is stale and any peer may break it.
-    pub lease: Duration,
-    /// How long to keep sweeping for units held by other workers before
-    /// giving up and reporting them [`UnitStatus::Partial`]. Zero means
-    /// one sweep: claim what is free, never wait.
-    pub wait: Duration,
-}
-
-impl ClaimOptions {
-    /// Options for a worker tagged `owner` with a 30 s lease and a
-    /// 10-minute patience for peers' units.
-    #[must_use]
-    pub fn new(owner: impl Into<String>) -> ClaimOptions {
-        ClaimOptions {
-            owner: owner.into(),
-            lease: Duration::from_secs(30),
-            wait: Duration::from_secs(600),
-        }
-    }
-
-    /// A per-process default owner tag.
-    #[must_use]
-    pub fn default_owner() -> String {
-        format!("worker-{}", std::process::id())
-    }
-
-    /// Replace the lease duration.
-    #[must_use]
-    pub fn with_lease(mut self, lease: Duration) -> ClaimOptions {
-        self.lease = lease;
-        self
-    }
-
-    /// Replace the held-unit patience.
-    #[must_use]
-    pub fn with_wait(mut self, wait: Duration) -> ClaimOptions {
-        self.wait = wait;
-        self
-    }
-}
-
-/// [`run_campaign`] for concurrent workers sharing one store: units are
-/// claimed through the store's compare-and-swap lease protocol before
-/// they run, so N workers over the same spec partition the units with
-/// each unit's engine work executed exactly once.
-///
-/// The sweep loop per worker:
-///
-/// 1. Refresh the shared journal; journaled units become `skipped`
-///    rows exactly as in a single-process resume.
-/// 2. Try to claim each unresolved unit. A claim held by a live peer
-///    defers the unit to a later sweep; a stale claim (the holder died
-///    and stopped renewing for longer than the lease) is broken and
-///    re-offered. While a claimed unit runs, a background thread renews
-///    the lease at `lease / 4` cadence so long units stay owned.
-/// 3. When every unit is resolved, or `claims.wait` has elapsed, stop.
-///    Units still held by peers at the deadline are reported
-///    [`UnitStatus::Partial`] — a rerun resumes them from the journal.
-///
-/// # Errors
-///
-/// As [`run_campaign`], plus claim-protocol transport failures
-/// (e.g. the remote store daemon is unreachable).
-pub fn run_campaign_claimed(
-    spec: &CampaignSpec,
-    options: &ExperimentOptions,
-    budget: &RunBudget,
-    store: &ResultStore,
-    keep_going: bool,
-    claims: &ClaimOptions,
-    sink: &dyn MetricsSink,
-) -> Result<CampaignReport, AnalysisError> {
-    let journal_name = format!("campaign-{}", spec.name);
-    let mut journal = store.open_journal(&journal_name, sink);
-    let mut rows: Vec<Option<UnitReport>> = vec![None; spec.units.len()];
-    let started = Instant::now();
-    loop {
-        let mut progressed = false;
-        for (i, unit) in spec.units.iter().enumerate() {
-            if rows[i].is_some() {
-                continue;
-            }
-            let key = unit_key(unit, options);
-            if let Some(entry) = journal.find(&unit.name, &key.hex()) {
-                rows[i] = Some(report_from_summary(&unit.name, &entry.summary));
-                progressed = true;
-                continue;
-            }
-            match store.claim_unit(
-                &journal_name,
-                &unit.name,
-                &key.hex(),
-                &claims.owner,
-                claims.lease,
-            ) {
-                Err(e) => {
-                    return Err(spec_err(format!(
-                        "claiming unit '{}' failed: {e}",
-                        unit.name
-                    )))
-                }
-                Ok(ClaimOutcome::Held { owner }) => {
-                    sink.add(Counter::StoreClaimsHeld, 1);
-                    let _ = owner; // defer to a later sweep
-                    continue;
-                }
-                Ok(ClaimOutcome::Acquired { broke_stale }) => {
-                    sink.add(Counter::StoreClaimsAcquired, 1);
-                    if broke_stale {
-                        sink.add(Counter::StoreClaimsExpired, 1);
-                    }
-                }
-                Ok(other) => {
-                    return Err(spec_err(format!(
-                        "claiming unit '{}': unexpected outcome {other:?}",
-                        unit.name
-                    )))
-                }
-            }
-            // Claim held. Re-check the journal under the claim: a peer
-            // may have completed this unit after our sweep-start
-            // refresh but before its claim lapsed.
-            journal.refresh();
-            if let Some(entry) = journal.find(&unit.name, &key.hex()) {
-                let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
-                rows[i] = Some(report_from_summary(&unit.name, &entry.summary));
-                progressed = true;
-                continue;
-            }
-            let built = build_unit_netlist(unit);
-            let netlist = match built {
-                Ok(n) => n,
-                Err(e) => {
-                    // Spec-level hard error: release so peers are not
-                    // stuck waiting out the lease on a doomed unit.
-                    let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
-                    return Err(e);
-                }
-            };
-            let mut unit_options = options.clone();
-            if unit.skip_monolithic {
-                unit_options.monolithic = false;
-            }
-            // Run the unit with a renewal heartbeat so the lease
-            // outlives slow engine work; a killed worker stops
-            // renewing, which is exactly what lets peers take over.
-            let stop = AtomicBool::new(false);
-            let outcome = std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    let tick = Duration::from_millis(25);
-                    let cadence = (claims.lease / 4).max(tick);
-                    let mut since = Duration::ZERO;
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(tick);
-                        since += tick;
-                        if since >= cadence {
-                            since = Duration::ZERO;
-                            let _ = store.renew_claim(&journal_name, &unit.name, &claims.owner);
-                        }
-                    }
-                });
-                let outcome =
-                    guard_result(|| run_soc_experiment_guarded(&netlist, &unit_options, budget));
-                stop.store(true, Ordering::Relaxed);
-                outcome
-            });
-            progressed = true;
-            match outcome {
-                Ok(completion) => {
-                    let row = report_from_completion(&unit.name, &completion);
-                    if row.status == UnitStatus::Complete {
-                        let entry = JournalEntry {
-                            unit: unit.name.clone(),
-                            key: key.hex(),
-                            summary: summarize(&completion),
-                        };
-                        if let Err(e) = journal.record(entry, sink) {
-                            eprintln!("store: journal write failed for '{}': {e}", unit.name);
-                        }
-                    }
-                    let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
-                    let failed = row.status == UnitStatus::Failed;
-                    let note = row.note.clone();
-                    rows[i] = Some(row);
-                    if failed && !keep_going {
-                        return Err(spec_err(format!(
-                            "unit '{}' failed ({note}); re-run with --keep-going to continue past it",
-                            unit.name
-                        )));
-                    }
-                }
-                Err(failure) => {
-                    let _ = store.release_claim(&journal_name, &unit.name, &claims.owner);
-                    rows[i] = Some(UnitReport {
-                        unit: unit.name.clone(),
-                        status: UnitStatus::Failed,
-                        t_mono: None,
-                        tdv_modular: None,
-                        tdv_monolithic: None,
-                        reduction_ratio: None,
-                        note: failure.to_string(),
-                    });
-                    if !keep_going {
-                        return Err(spec_err(format!(
-                            "unit '{}' failed ({failure}); re-run with --keep-going to continue past it",
-                            unit.name
-                        )));
-                    }
-                }
-            }
-        }
-        if rows.iter().all(Option::is_some) {
-            break;
-        }
-        if started.elapsed() >= claims.wait {
-            for (i, unit) in spec.units.iter().enumerate() {
-                if rows[i].is_none() {
-                    rows[i] = Some(UnitReport {
-                        unit: unit.name.clone(),
-                        status: UnitStatus::Partial,
-                        t_mono: None,
-                        tdv_modular: None,
-                        tdv_monolithic: None,
-                        reduction_ratio: None,
-                        note: "held by another worker at deadline".to_string(),
-                    });
-                }
-            }
-            break;
-        }
-        if !progressed {
-            // Everything left is held by peers: back off for a slice
-            // of the lease before the next sweep.
-            let nap = (claims.lease / 4).min(Duration::from_millis(500));
-            std::thread::sleep(nap.max(Duration::from_millis(10)));
-        }
-        journal.refresh();
-    }
-    Ok(CampaignReport {
-        name: spec.name.clone(),
-        units: rows.into_iter().map(|r| r.expect("all resolved")).collect(),
     })
 }
 

@@ -81,7 +81,6 @@ pub mod experiment;
 pub mod metrics;
 pub mod parallel;
 pub mod reconstruct;
-pub mod remote;
 pub mod report;
 pub mod runctl;
 pub mod serve;
@@ -89,12 +88,9 @@ pub mod tdv;
 pub mod timecost;
 
 pub use analysis::{CoreTdvRow, SocTdvAnalysis};
-pub use campaign::{
-    run_campaign, run_campaign_claimed, CampaignReport, CampaignSpec, ClaimOptions, UnitStatus,
-};
+pub use campaign::{run_campaign, CampaignReport, CampaignSpec, UnitStatus};
 pub use error::AnalysisError;
 pub use parallel::WorkerPool;
-pub use remote::HttpBackend;
 pub use runctl::{
     BudgetExhausted, Completion, CoreFailure, CoreOutcome, CoreOutcomeKind, ExhaustReason,
     RunBudget,

@@ -92,12 +92,6 @@ pub enum Counter {
     ServeLaneHeavy,
     ServeKeepAliveReuses,
     ServeRequestTimeouts,
-    StoreRemoteGets,
-    StoreRemotePuts,
-    StoreRemoteJournalOps,
-    StoreClaimsAcquired,
-    StoreClaimsHeld,
-    StoreClaimsExpired,
     TamPackCores,
     TamPackCandidates,
     TamPackBackfills,
@@ -106,7 +100,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in canonical report order.
-    pub const ALL: [Counter; 50] = [
+    pub const ALL: [Counter; 44] = [
         Counter::FaultsUniverse,
         Counter::FaultsCollapsed,
         Counter::RandomPatternsKept,
@@ -147,12 +141,6 @@ impl Counter {
         Counter::ServeLaneHeavy,
         Counter::ServeKeepAliveReuses,
         Counter::ServeRequestTimeouts,
-        Counter::StoreRemoteGets,
-        Counter::StoreRemotePuts,
-        Counter::StoreRemoteJournalOps,
-        Counter::StoreClaimsAcquired,
-        Counter::StoreClaimsHeld,
-        Counter::StoreClaimsExpired,
         Counter::TamPackCores,
         Counter::TamPackCandidates,
         Counter::TamPackBackfills,
@@ -222,19 +210,6 @@ impl Counter {
             Counter::ServeLaneHeavy => "serve_lane_heavy",
             Counter::ServeKeepAliveReuses => "serve_keepalive_reuses",
             Counter::ServeRequestTimeouts => "serve_request_timeouts",
-            // Remote-store traffic: counted by the `modsoc serve`
-            // daemon's `/store/*` endpoints (and by an `HttpBackend`
-            // client on its side). Cache-state- and topology-dependent,
-            // so they ride the `"store_` determinism-filter exemption.
-            Counter::StoreRemoteGets => "store_remote_gets",
-            Counter::StoreRemotePuts => "store_remote_puts",
-            Counter::StoreRemoteJournalOps => "store_remote_journal_ops",
-            // Claim/lease traffic from distributed `modsoc campaign`
-            // workers partitioning a shared spec (CAS on unit + content
-            // key). Contention-dependent, hence `store_`-exempted too.
-            Counter::StoreClaimsAcquired => "store_claims_acquired",
-            Counter::StoreClaimsHeld => "store_claims_held",
-            Counter::StoreClaimsExpired => "store_claims_expired",
             // Rectangle bin-packing co-optimizer (`modsoc tam`): cores
             // packed, Pareto wrapper candidates enumerated, placements
             // that backfilled idle TAM windows, and placements bounced

@@ -1,34 +1,30 @@
-//! Pluggable storage transports behind the
+//! Pluggable storage behind the
 //! [`ResultStore`](crate::ResultStore) seam.
 //!
 //! `ResultStore` owns the *semantics* of the store — the entry envelope,
 //! the corruption taxonomy, hit/miss/eviction accounting — while a
-//! [`StoreBackend`] owns the *transport*: where the raw documents live
-//! and how they are read, written, listed and claimed. Two backends
-//! exist:
-//!
-//! * [`LocalBackend`] — the original directory layout (`objects/`,
-//!   `journals/`, `locks/`, and now `claims/`), byte-compatible with
-//!   every store written before the trait existed.
-//! * `HttpBackend` (in `modsoc_core::remote`) — the same operations over
-//!   the `/store/*` endpoints of a `modsoc serve --store` daemon, so N
-//!   campaign processes on separate machines share one store.
+//! [`StoreBackend`] owns the *storage*: where the raw documents live
+//! and how they are read, written, listed and claimed. [`LocalBackend`]
+//! is the directory layout (`objects/`, `journals/`, `locks/`,
+//! `claims/`), byte-compatible with every store written before the
+//! trait existed; other implementations wrap it (e.g. to time its
+//! entry traffic) and reach the store through
+//! [`ResultStore::with_backend`](crate::ResultStore::with_backend).
 //!
 //! The trait is deliberately *string-level*: backends move raw JSON
 //! documents and never validate them. Validation happens exactly once,
-//! on the consuming side — which is what makes a server-side byte flip
-//! observable as a *client*-side eviction, the property the remote
-//! corruption tests pin down.
+//! on the consuming side, in [`ResultStore`](crate::ResultStore), so
+//! every backend shares one corruption taxonomy.
 //!
 //! # Claims
 //!
-//! Distributed campaigns partition work by claiming `(journal, unit)`
-//! pairs before running them. A claim is a lease: it is acquired by a
-//! compare-and-swap (`create_new` on the claim file, the same primitive
-//! as [`StoreLock`]), renewed by rewriting the
-//! file (which bumps its mtime), and broken by any other worker once its
-//! mtime is older than the requested lease — the mtime-style stale-break
-//! that lets a killed worker's units be re-offered without coordination.
+//! A claim reserves a `(journal, unit)` pair for one owner. It is a
+//! lease: it is acquired by a compare-and-swap (`create_new` on the
+//! claim file, the same primitive as [`StoreLock`]), renewed by
+//! rewriting the file (which bumps its mtime), and broken by any other
+//! claimant once its mtime is older than the requested lease — the
+//! mtime-style stale-break that lets a killed owner's units be
+//! re-offered without coordination.
 
 use crate::journal::sanitize;
 use crate::lock::{LockOptions, StoreLock};
@@ -41,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 /// A raw document as the backend sees it: present (unvalidated text),
-/// absent, or present but unreadable (e.g. invalid UTF-8 or a transport
+/// absent, or present but unreadable (e.g. invalid UTF-8 or an I/O
 /// failure mid-read). The consumer decides what each case means.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawDoc {
@@ -116,15 +112,15 @@ pub enum ClaimOutcome {
     NotOwner,
 }
 
-/// Transport seam under [`ResultStore`](crate::ResultStore): raw
+/// Storage seam under [`ResultStore`](crate::ResultStore): raw
 /// document I/O plus claims. Implementations move bytes and never
 /// validate envelopes — see the module docs.
 pub trait StoreBackend: fmt::Debug + Send + Sync {
-    /// Human-readable locator (directory path or base URL) for logs.
+    /// Human-readable locator (the directory path) for logs.
     fn describe(&self) -> String;
 
-    /// `true` for network transports; the wrapper reports their traffic
-    /// under the `store_remote_*` counters.
+    /// `true` for a backend whose bytes live in another process. Every
+    /// backend in this workspace is local and answers `false`.
     fn is_remote(&self) -> bool;
 
     /// Local root directory, when the backend is a directory.
@@ -151,9 +147,7 @@ pub trait StoreBackend: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the listing fails — including on remote
-    /// backends, which do not support enumeration (GC runs where the
-    /// bytes live).
+    /// [`StoreError`] when the listing fails.
     fn entry_meta(&self) -> Result<Vec<EntryMeta>, StoreError>;
 
     /// Validate every stored entry and report `(valid, corrupt)`
@@ -161,8 +155,7 @@ pub trait StoreBackend: fmt::Debug + Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`StoreError`] when the store cannot be enumerated (remote
-    /// backends included — sweeps run where the bytes live).
+    /// [`StoreError`] when the store cannot be enumerated.
     fn verify_all(&self) -> Result<(usize, usize), StoreError>;
 
     /// Read the raw journal document stored under `stem` (already
@@ -173,7 +166,7 @@ pub trait StoreBackend: fmt::Debug + Send + Sync {
     /// "summary":…}`) into the named journal under the journal's
     /// cross-process lock, and return the merged journal document plus
     /// the write retry count. The merge replaces any existing entry
-    /// with the same unit name and keeps everything else — two workers
+    /// with the same unit name and keeps everything else — two processes
     /// sharing a journal each keep the other's progress.
     ///
     /// # Errors
@@ -186,17 +179,17 @@ pub trait StoreBackend: fmt::Debug + Send + Sync {
     /// whether a file was removed.
     fn remove_journal(&self, stem: &str, why: &str) -> bool;
 
-    /// Acquire, renew or release a `(journal, unit)` claim — the CAS
-    /// primitive distributed campaigns partition work with.
+    /// Acquire, renew or release a `(journal, unit)` claim (see the
+    /// module docs).
     ///
     /// # Errors
     ///
-    /// [`StoreError`] on transport failure or when CAS races stay
-    /// unresolved past a bounded number of rounds.
+    /// [`StoreError`] on I/O failure or when CAS races stay unresolved
+    /// past a bounded number of rounds.
     fn claim(&self, req: &ClaimRequest<'_>) -> Result<ClaimOutcome, StoreError>;
 }
 
-/// The original directory-backed transport. Layout (byte-compatible
+/// The directory-backed store. Layout (byte-compatible
 /// with pre-trait stores; `claims/` is created on open and simply
 /// empty for stores that predate it):
 ///

@@ -17,7 +17,7 @@
 //! empty — the campaign recomputes instead of crashing.
 
 use crate::backend::{RawDoc, StoreBackend};
-use crate::{payload_check, IngestError, ResultStore, StoreError, STORE_SCHEMA};
+use crate::{payload_check, ResultStore, StoreError, STORE_SCHEMA};
 use modsoc_metrics::json::{self, JsonValue};
 use modsoc_metrics::MetricsSink;
 use std::fs;
@@ -39,9 +39,8 @@ pub struct JournalEntry {
 /// on every [`Journal::record`] under the backend's cross-process
 /// advisory lock: two processes journaling the same campaign merge
 /// their completions instead of losing them to a read-modify-write
-/// race. The merge itself runs *backend-side* — on the local directory
-/// for [`crate::LocalBackend`], on the serve daemon for the HTTP
-/// backend — so N workers on separate machines share one journal.
+/// race. The merge itself runs *backend-side*, on the store directory
+/// for [`crate::LocalBackend`].
 #[derive(Debug)]
 pub struct Journal {
     backend: Arc<dyn StoreBackend>,
@@ -194,26 +193,6 @@ impl Journal {
         }
         Ok(())
     }
-
-    /// Reload the journal from the backend, adopting completions other
-    /// workers recorded since this handle last synced. Entries this
-    /// handle knows that are missing from the backend copy (e.g. a
-    /// record whose persist failed) are kept. A corrupt or unreadable
-    /// backend copy changes nothing — the next `record` supersedes it.
-    pub fn refresh(&mut self) {
-        let RawDoc::Present(text) = self.backend.load_journal(&self.stem) else {
-            return;
-        };
-        let Some(mut disk) = entries_from_text(&text) else {
-            return;
-        };
-        for own in std::mem::take(&mut self.entries) {
-            if !disk.iter().any(|e| e.unit == own.unit) {
-                disk.push(own);
-            }
-        }
-        self.entries = disk;
-    }
 }
 
 impl ResultStore {
@@ -250,58 +229,6 @@ impl ResultStore {
             }
         }
         journal
-    }
-
-    /// Read the raw journal document named `name` without validating —
-    /// the serve daemon's `GET /store/journal`.
-    #[must_use]
-    pub fn load_journal_raw(&self, name: &str) -> RawDoc {
-        self.backend().load_journal(&sanitize(name))
-    }
-
-    /// Merge one wire completion entry (`{"unit":…,"key":…,
-    /// "summary":…}`) into the journal named `name` and return the
-    /// merged journal document — the serve daemon's
-    /// `POST /store/journal`. Write retries are reported through
-    /// `sink`.
-    ///
-    /// # Errors
-    ///
-    /// [`IngestError::Invalid`] when the entry document is malformed;
-    /// [`IngestError::Store`] when the journal cannot be rewritten.
-    pub fn merge_journal_raw(
-        &self,
-        name: &str,
-        entry_doc: &str,
-        sink: &dyn MetricsSink,
-    ) -> Result<String, IngestError> {
-        if json::parse(entry_doc)
-            .ok()
-            .as_ref()
-            .and_then(entry_from_json)
-            .is_none()
-        {
-            return Err(IngestError::Invalid(
-                "journal entry must have unit, key and summary".to_string(),
-            ));
-        }
-        let (merged, retries) = self
-            .backend()
-            .merge_journal(&sanitize(name), entry_doc)
-            .map_err(IngestError::Store)?;
-        self.note_retries(retries, sink);
-        Ok(merged)
-    }
-
-    /// Remove the journal named `name` (corruption eviction requested
-    /// by a remote reader — the serve daemon's journal evict). Counted
-    /// when a file was actually removed.
-    pub fn remove_journal(&self, name: &str, why: &str, sink: &dyn MetricsSink) -> bool {
-        let removed = self.backend().remove_journal(&sanitize(name), why);
-        if removed {
-            self.note_eviction(sink);
-        }
-        removed
     }
 }
 

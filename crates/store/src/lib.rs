@@ -18,13 +18,11 @@
 //!   journaled.
 //! * [`sha256`] — the hand-rolled FIPS 180-4 digest both of the above
 //!   are built on (the workspace vendors no crypto crate).
-//! * [`backend`] — the transport seam: [`ResultStore`] owns envelope
+//! * [`backend`] — the storage seam: [`ResultStore`] owns envelope
 //!   validation and accounting while a [`StoreBackend`] moves raw
-//!   documents. [`LocalBackend`] is the original directory layout
-//!   (byte-compatible with pre-trait stores); `modsoc_core::remote`
-//!   adds an HTTP backend speaking to a `modsoc serve --store` daemon,
-//!   plus the claim/lease primitive distributed campaigns partition
-//!   work with.
+//!   documents. [`LocalBackend`] is the directory layout
+//!   (byte-compatible with pre-trait stores), including the
+//!   `(journal, unit)` claim/lease primitive.
 //!
 //! The store is size-bounded only on demand: [`ResultStore::gc`] is an
 //! oldest-atime-first eviction pass (`modsoc store gc --max-bytes`).
@@ -63,7 +61,6 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// On-disk schema version. Bumping it invalidates every existing entry:
 /// `open` evicts objects whose manifest does not match, and `get`
@@ -83,29 +80,6 @@ impl StoreKey {
     #[must_use]
     pub fn hex(&self) -> String {
         sha256::hex(&self.0)
-    }
-
-    /// Parse the 64-character lowercase hex form back into a key.
-    /// Returns `None` for anything else (wrong length, uppercase,
-    /// non-hex) — the strictness doubles as path-safety for keys that
-    /// arrive over the wire.
-    #[must_use]
-    pub fn from_hex(hex: &str) -> Option<StoreKey> {
-        if hex.len() != 64 {
-            return None;
-        }
-        let mut out = [0u8; 32];
-        for (i, byte) in out.iter_mut().enumerate() {
-            let nib = |c: u8| match c {
-                b'0'..=b'9' => Some(c - b'0'),
-                b'a'..=b'f' => Some(c - b'a' + 10),
-                _ => None,
-            };
-            let hi = nib(hex.as_bytes()[2 * i])?;
-            let lo = nib(hex.as_bytes()[2 * i + 1])?;
-            *byte = (hi << 4) | lo;
-        }
-        Some(StoreKey(out))
     }
 }
 
@@ -264,14 +238,14 @@ pub fn payload_check(payload: &JsonValue) -> String {
 /// payload on success and the taxonomy's eviction reason on failure.
 ///
 /// This is *the* corruption taxonomy — [`ResultStore::get`] runs it on
-/// every read regardless of backend, the serve daemon runs it before
-/// ingesting a `/store/put`, and `verify_all` runs it per entry.
+/// every read regardless of backend, and `verify_all` runs it per
+/// entry.
 ///
 /// # Errors
 ///
 /// The eviction reason: `"malformed JSON"`, `"schema mismatch"`,
 /// `"key mismatch"`, `"missing payload"` or `"checksum mismatch"`.
-pub fn validate_entry_doc(key_hex: &str, text: &str) -> Result<JsonValue, String> {
+pub(crate) fn validate_entry_doc(key_hex: &str, text: &str) -> Result<JsonValue, String> {
     let Ok(doc) = json::parse(text) else {
         return Err("malformed JSON".to_string());
     };
@@ -289,28 +263,6 @@ pub fn validate_entry_doc(key_hex: &str, text: &str) -> Result<JsonValue, String
     }
     Ok(payload.clone())
 }
-
-/// Why [`ResultStore::ingest`] or [`ResultStore::merge_journal_raw`]
-/// refused a wire document.
-#[derive(Debug)]
-pub enum IngestError {
-    /// The document failed validation; the payload is the reason
-    /// (reported to the sender as a 422).
-    Invalid(String),
-    /// The document was valid but could not be stored.
-    Store(StoreError),
-}
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IngestError::Invalid(why) => write!(f, "invalid document: {why}"),
-            IngestError::Store(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
 
 /// Outcome of a [`ResultStore::gc`] sweep.
 #[derive(Debug, Clone)]
@@ -368,9 +320,9 @@ impl ResultStore {
         Ok(store)
     }
 
-    /// Wrap an already-constructed backend (e.g. an HTTP client
-    /// speaking to a `modsoc serve --store` daemon). The full read-side
-    /// corruption taxonomy applies regardless of transport.
+    /// Wrap an already-constructed backend (e.g. one that times a
+    /// [`LocalBackend`]'s traffic). The full read-side corruption
+    /// taxonomy applies whatever the backend.
     #[must_use]
     pub fn with_backend(backend: Arc<dyn StoreBackend>) -> ResultStore {
         ResultStore {
@@ -383,14 +335,14 @@ impl ResultStore {
         }
     }
 
-    /// The transport under this store.
+    /// The backend under this store.
     #[must_use]
     pub fn backend(&self) -> &Arc<dyn StoreBackend> {
         &self.backend
     }
 
-    /// Human-readable locator of the backing storage (directory path or
-    /// base URL), for logs.
+    /// Human-readable locator of the backing storage (the directory
+    /// path), for logs.
     #[must_use]
     pub fn describe(&self) -> String {
         self.backend.describe()
@@ -414,13 +366,9 @@ impl ResultStore {
     /// next write replaces it. This is the corruption-tolerance
     /// contract: a damaged store degrades to recomputation, it does not
     /// crash or serve garbage. The taxonomy runs *here*, on the
-    /// consuming side, whatever the backend — a remote store serving
-    /// damaged bytes is observed as a client-side eviction.
+    /// consuming side, whatever the backend.
     pub fn get(&self, key: &StoreKey, sink: &dyn MetricsSink) -> Option<JsonValue> {
         let hex = key.hex();
-        if self.backend.is_remote() {
-            sink.add(Counter::StoreRemoteGets, 1);
-        }
         let miss = || {
             self.misses.fetch_add(1, Ordering::Relaxed);
             sink.add(Counter::StoreMisses, 1);
@@ -481,49 +429,7 @@ impl ResultStore {
             ),
             ("payload".to_string(), payload.clone()),
         ]);
-        if self.backend.is_remote() {
-            sink.add(Counter::StoreRemotePuts, 1);
-        }
         let retries = self.backend.store_entry(&key.hex(), &doc.to_compact())?;
-        self.note_retries(retries, sink);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        sink.add(Counter::StoreWrites, 1);
-        Ok(())
-    }
-
-    /// Read the raw entry document under `key_hex` without validating
-    /// or counting — the serve daemon's `/store/get` uses this so
-    /// validation happens exactly once, on the consuming client.
-    #[must_use]
-    pub fn load_entry_raw(&self, key_hex: &str) -> RawDoc {
-        self.backend.load_entry(key_hex)
-    }
-
-    /// Store an already-enveloped wire document under `key_hex` after
-    /// validating it — the serve daemon's `/store/put`. The received
-    /// bytes are stored verbatim (no re-serialization), so the entry a
-    /// client wrote through the daemon is byte-identical to one it
-    /// would have written to a local store.
-    ///
-    /// # Errors
-    ///
-    /// [`IngestError::Invalid`] when `key_hex` is not a well-formed key
-    /// or the document fails the envelope contract;
-    /// [`IngestError::Store`] when the write itself fails.
-    pub fn ingest(
-        &self,
-        key_hex: &str,
-        doc: &str,
-        sink: &dyn MetricsSink,
-    ) -> Result<(), IngestError> {
-        if StoreKey::from_hex(key_hex).is_none() {
-            return Err(IngestError::Invalid("malformed key".to_string()));
-        }
-        validate_entry_doc(key_hex, doc).map_err(IngestError::Invalid)?;
-        let retries = self
-            .backend
-            .store_entry(key_hex, doc)
-            .map_err(IngestError::Store)?;
         self.note_retries(retries, sink);
         self.writes.fetch_add(1, Ordering::Relaxed);
         sink.add(Counter::StoreWrites, 1);
@@ -541,8 +447,7 @@ impl ResultStore {
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] only when the store cannot be
-    /// enumerated (remote backends never can — sweeps run where the
-    /// bytes live); unreadable *entries* count as corrupt.
+    /// enumerated; unreadable *entries* count as corrupt.
     pub fn verify_all(&self) -> Result<(usize, usize), StoreError> {
         self.backend.verify_all()
     }
@@ -556,9 +461,7 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] when the store cannot be enumerated
-    /// (remote backends included — GC runs where the bytes live, e.g.
-    /// `modsoc store gc` on the serve daemon's directory).
+    /// Returns [`StoreError::Io`] when the store cannot be enumerated.
     pub fn gc(&self, max_bytes: u64, sink: &dyn MetricsSink) -> Result<GcReport, StoreError> {
         let mut metas = self.backend.entry_meta()?;
         metas.sort_by(|a, b| {
@@ -587,79 +490,6 @@ impl ResultStore {
             kept_bytes: total,
             evicted,
             evicted_bytes,
-        })
-    }
-
-    /// Acquire the `(journal, unit)` claim for `owner` with the given
-    /// lease — the compare-and-swap distributed campaigns partition
-    /// work with. A claim whose lease has expired (holder killed) is
-    /// broken and re-offered; re-acquiring one's own live claim renews
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on transport failure or unresolved CAS races.
-    pub fn claim_unit(
-        &self,
-        journal: &str,
-        unit: &str,
-        key: &str,
-        owner: &str,
-        lease: Duration,
-    ) -> Result<ClaimOutcome, StoreError> {
-        self.backend.claim(&ClaimRequest {
-            journal,
-            unit,
-            key,
-            owner,
-            lease,
-            action: ClaimAction::Acquire,
-        })
-    }
-
-    /// Refresh `owner`'s live claim on `(journal, unit)`, extending its
-    /// lease. Returns [`ClaimOutcome::NotOwner`] when the claim expired
-    /// and was taken by someone else.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on transport failure.
-    pub fn renew_claim(
-        &self,
-        journal: &str,
-        unit: &str,
-        owner: &str,
-    ) -> Result<ClaimOutcome, StoreError> {
-        self.backend.claim(&ClaimRequest {
-            journal,
-            unit,
-            key: "",
-            owner,
-            lease: Duration::ZERO,
-            action: ClaimAction::Renew,
-        })
-    }
-
-    /// Drop `owner`'s claim on `(journal, unit)` so the unit is
-    /// immediately re-offerable. Idempotent: releasing an absent claim
-    /// is [`ClaimOutcome::Released`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] on transport failure.
-    pub fn release_claim(
-        &self,
-        journal: &str,
-        unit: &str,
-        owner: &str,
-    ) -> Result<ClaimOutcome, StoreError> {
-        self.backend.claim(&ClaimRequest {
-            journal,
-            unit,
-            key: "",
-            owner,
-            lease: Duration::ZERO,
-            action: ClaimAction::Release,
         })
     }
 

@@ -6,10 +6,8 @@
 //! modsoc experiment <mini|soc1|soc2> [--seed S] [--jobs N] [--fail-fast] [--skip-monolithic]
 //!                                    [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
 //!                                    [--metrics FILE] [--store DIR] [--no-store-read]
-//! modsoc campaign <spec.json> (--store DIR | --store-url URL) [--jobs N] [--keep-going]
-//!                             [--no-store-read] [--owner NAME] [--claim-lease-ms N]
-//!                             [--claim-wait-ms N] [--timeout-ms N] [--max-patterns N]
-//!                             [--max-backtracks N]
+//! modsoc campaign <spec.json> --store DIR [--jobs N] [--keep-going] [--no-store-read]
+//!                             [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
 //! modsoc store <gc|verify> <DIR> [--max-bytes N]
 //! modsoc serve [--addr HOST:PORT] [--workers N] [--queue N] [--store DIR] [...]
 //! modsoc loadgen --addr HOST:PORT [--requests N] [--concurrency N] [--flood N] [...]
@@ -44,14 +42,11 @@ use std::time::Duration;
 
 use std::sync::Arc;
 
-use modsoc::analysis::campaign::{
-    run_campaign, run_campaign_claimed, CampaignSpec, ClaimOptions, UnitStatus,
-};
+use modsoc::analysis::campaign::{run_campaign, CampaignSpec, UnitStatus};
 use modsoc::analysis::experiment::{run_soc_experiment_guarded, ExperimentOptions, SocExperiment};
 use modsoc::analysis::metrics::{
     analysis_run_metrics, run_soc_experiment_metered, Phase, PhaseTimer, RecordingSink, RunMetrics,
 };
-use modsoc::analysis::remote::HttpBackend;
 use modsoc::analysis::report::{
     fmt_u64, render_analyze_report, render_core_table, render_metrics_table, render_outcome_table,
 };
@@ -103,10 +98,8 @@ const USAGE: &str = "usage:
   modsoc experiment <mini|soc1|soc2> [--seed S] [--jobs N] [--fail-fast] [--skip-monolithic]
                                      [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
                                      [--metrics FILE] [--store DIR] [--no-store-read]
-  modsoc campaign <spec.json> (--store DIR | --store-url URL) [--jobs N] [--keep-going]
-                              [--no-store-read] [--owner NAME] [--claim-lease-ms N]
-                              [--claim-wait-ms N] [--timeout-ms N] [--max-patterns N]
-                              [--max-backtracks N]
+  modsoc campaign <spec.json> --store DIR [--jobs N] [--keep-going] [--no-store-read]
+                              [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
   modsoc store gc <DIR> --max-bytes N
   modsoc store verify <DIR>
   modsoc serve [--addr HOST:PORT] [--workers N] [--queue N] [--max-conns N]
@@ -118,7 +111,7 @@ const USAGE: &str = "usage:
   modsoc loadgen --addr HOST:PORT [--requests N] [--concurrency N] [--seed S]
                  [--keep-alive] [--bodies-out FILE] [--json FILE] [--check FILE]
                  [--label NAME] [--tolerance F]
-                 [--flood N] [--analyze-file FILE.soc] [--shutdown] [--dump-metrics]
+                 [--flood N] [--analyze-file FILE.soc] [--shutdown]
   modsoc atpg <file.bench> [--timeout-ms N] [--max-patterns N] [--max-backtracks N]
                            [--patterns-out FILE] [--verilog-out FILE]
   modsoc generate --inputs N --outputs N --scan N [--seed S] [--bench-out FILE] [--verilog-out FILE]
@@ -137,9 +130,6 @@ wall times, jobs and sched objects is identical at any --jobs value.
 --store DIR caches engine results content-addressed on disk (warm runs
 fetch instead of recomputing; reports stay byte-identical) and holds
 campaign journals so interrupted campaigns resume where they stopped.
---store-url URL points campaign at a `modsoc serve --store` daemon
-instead of a local directory; concurrent workers claim units through
-the daemon so each unit's engine work runs exactly once.
 modsoc store gc/verify sweep a local store directory: gc evicts
 least-recently-used objects until the store fits --max-bytes, verify
 reports corrupt entries (exit 1 when any are found).
@@ -198,7 +188,6 @@ fn positional(args: &[String]) -> Option<&str> {
                     | "--no-store-read"
                     | "--keep-alive"
                     | "--shutdown"
-                    | "--dump-metrics"
             );
             continue;
         }
@@ -852,7 +841,7 @@ fn percentile(sorted: &[Duration], p: f64) -> f64 {
 fn cmd_loadgen(args: &[String]) -> Result<RunStatus, String> {
     check_flags(
         args,
-        &["--shutdown", "--keep-alive", "--dump-metrics"],
+        &["--shutdown", "--keep-alive"],
         &[
             "--addr",
             "--requests",
@@ -907,18 +896,6 @@ fn cmd_loadgen(args: &[String]) -> Result<RunStatus, String> {
         let resp = http_request(&addr, "POST", "/shutdown", None, Duration::from_secs(10))
             .map_err(|e| format!("POST /shutdown: {e}"))?;
         println!("shutdown: {} {}", resp.status, resp.body_text());
-        return Ok(RunStatus::Complete);
-    }
-    // Single-shot metrics scrape: print the server's /metrics document
-    // verbatim so scripts (the CI distributed gate) can read counters
-    // like store_writes without an HTTP client of their own.
-    if has_flag(args, "--dump-metrics") {
-        let resp = http_request(&addr, "GET", "/metrics", None, Duration::from_secs(10))
-            .map_err(|e| format!("GET /metrics: {e}"))?;
-        if resp.status != 200 {
-            return Err(format!("GET /metrics failed with {}", resp.status));
-        }
-        println!("{}", resp.body_text());
         return Ok(RunStatus::Complete);
     }
     let seed: u64 = match flag_value(args, "--seed") {
@@ -1284,10 +1261,6 @@ fn cmd_campaign(args: &[String]) -> Result<RunStatus, String> {
         &["--keep-going", "--no-store-read"],
         &[
             "--store",
-            "--store-url",
-            "--owner",
-            "--claim-lease-ms",
-            "--claim-wait-ms",
             "--jobs",
             "--timeout-ms",
             "--max-patterns",
@@ -1297,51 +1270,17 @@ fn cmd_campaign(args: &[String]) -> Result<RunStatus, String> {
     let path = positional(args).ok_or("campaign needs a spec.json file path")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let spec = CampaignSpec::from_json(&text).map_err(|e| e.to_string())?;
-    // The journal lives in the store, so a store is not optional here:
-    // either a local directory or the URL of a `modsoc serve --store`
-    // daemon shared by concurrent workers.
-    let local = open_store_from_flags(args)?;
-    let store = match (local, flag_value(args, "--store-url")) {
-        (Some(_), Some(_)) => {
-            return Err("give either --store DIR or --store-url URL, not both".into())
-        }
-        (Some(store), None) => store,
-        (None, Some(url)) => {
-            let backend = HttpBackend::connect(url, Duration::from_secs(10))
-                .map_err(|e| format!("connecting to store daemon: {e}"))?;
-            Arc::new(ResultStore::with_backend(Arc::new(backend)))
-        }
-        (None, None) => {
-            return Err(
-                "campaign requires --store DIR or --store-url URL (the journal lives there)".into(),
-            )
-        }
-    };
+    // The journal lives in the store, so a store is not optional here.
+    let store = open_store_from_flags(args)?
+        .ok_or("campaign requires --store DIR (the journal lives there)")?;
     let options = ExperimentOptions::paper_tables_1_2()
         .with_jobs(jobs_from_flags(args)?)
         .with_store(Arc::clone(&store))
         .with_store_read(!has_flag(args, "--no-store-read"));
     let budget = budget_from_flags(args)?;
     let keep_going = has_flag(args, "--keep-going");
-    let report = if flag_value(args, "--store-url").is_some() {
-        // Remote store: claim units through the daemon so concurrent
-        // workers over the same spec partition the work.
-        let mut claims = ClaimOptions::new(
-            flag_value(args, "--owner").map_or_else(ClaimOptions::default_owner, String::from),
-        );
-        if let Some(ms) = flag_value(args, "--claim-lease-ms") {
-            claims = claims.with_lease(Duration::from_millis(parse_num(ms, "--claim-lease-ms")?));
-        }
-        if let Some(ms) = flag_value(args, "--claim-wait-ms") {
-            claims = claims.with_wait(Duration::from_millis(parse_num(ms, "--claim-wait-ms")?));
-        }
-        run_campaign_claimed(
-            &spec, &options, &budget, &store, keep_going, &claims, &NullSink,
-        )
-    } else {
-        run_campaign(&spec, &options, &budget, &store, keep_going, &NullSink)
-    }
-    .map_err(|e| e.to_string())?;
+    let report = run_campaign(&spec, &options, &budget, &store, keep_going, &NullSink)
+        .map_err(|e| e.to_string())?;
 
     println!("campaign {} ({} units)", report.name, report.units.len());
     println!(
@@ -1382,11 +1321,9 @@ fn cmd_campaign(args: &[String]) -> Result<RunStatus, String> {
     }
 }
 
-/// `modsoc store <gc|verify> <DIR>` — maintenance sweeps over a local
-/// store directory. These run where the bytes live: to bound or audit
-/// the store behind a `modsoc serve --store` daemon, run them on the
-/// daemon's directory (entries are advisory-locked per key, so a sweep
-/// is safe next to a live server).
+/// `modsoc store <gc|verify> <DIR>` — maintenance sweeps over a store
+/// directory. Entries are advisory-locked per key, so a sweep is safe
+/// next to a live `modsoc serve --store` daemon on the same directory.
 fn cmd_store(args: &[String]) -> Result<RunStatus, String> {
     let open = |rest: &[String]| -> Result<ResultStore, String> {
         let dir = positional(rest).ok_or("store needs a store DIR")?;

@@ -446,6 +446,27 @@ fn unknown_and_dangling_flags_are_errors() {
     let out = modsoc(&["atpg", path, removed]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains(removed));
+
+    // So is the removed remote-store flag of `campaign`, even next to
+    // a valid --store.
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"schema":1,"name":"x","units":[{"name":"m","soc":"mini"}]}"#,
+    )
+    .expect("write spec");
+    let store = dir.join("store");
+    let removed = concat!("--store", "-url");
+    let out = modsoc(&[
+        "campaign",
+        spec.to_str().expect("utf8 path"),
+        "--store",
+        store.to_str().expect("utf8 path"),
+        removed,
+        "http://127.0.0.1:1",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains(removed));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -778,6 +799,83 @@ fn campaign_without_store_is_an_error() {
     let out = modsoc(&["campaign", spec.to_str().expect("utf8 path")]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--store"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_verify_and_gc_sweep_a_campaign_store() {
+    let dir = std::env::temp_dir().join(format!("modsoc_cli_storecmd_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"schema":1,"name":"sweep","units":[{"name":"m7","soc":"mini","seed":7}]}"#,
+    )
+    .expect("write spec");
+    let store = dir.join("store");
+    let store_arg = store.to_str().expect("utf8 path");
+    let warm = modsoc(&[
+        "campaign",
+        spec.to_str().expect("utf8 path"),
+        "--store",
+        store_arg,
+    ]);
+    assert_eq!(warm.status.code(), Some(0), "{warm:?}");
+    let verify = || {
+        let out = modsoc(&["store", "verify", store_arg]);
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        (out.status.code(), stdout)
+    };
+
+    // A freshly warmed store sweeps clean.
+    let (code, clean) = verify();
+    assert_eq!(code, Some(0), "{clean}");
+    assert!(clean.contains(" 0 corrupt"), "{clean}");
+
+    // One flipped byte in one object is reported, and fails the sweep.
+    let mut objects: Vec<_> = std::fs::read_dir(store.join("objects"))
+        .expect("objects dir")
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    objects.sort();
+    assert!(
+        objects.len() >= 2,
+        "mini writes several entries: {objects:?}"
+    );
+    let victim = &objects[0];
+    let original = std::fs::read(victim).expect("read object");
+    let mut flipped = original.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0x01;
+    std::fs::write(victim, &flipped).expect("flip a byte");
+    let (code, dirty) = verify();
+    assert_eq!(code, Some(1), "{dirty}");
+    assert!(dirty.contains(" 1 corrupt"), "{dirty}");
+    std::fs::write(victim, &original).expect("restore the byte");
+
+    // A size bound below the store's size evicts some entries, reports
+    // the sweep, and leaves survivors that still verify clean.
+    let total: u64 = objects
+        .iter()
+        .map(|p| std::fs::metadata(p).expect("stat").len())
+        .sum();
+    let bound = (total / 2).to_string();
+    let gc = modsoc(&["store", "gc", store_arg, "--max-bytes", &bound]);
+    assert_eq!(gc.status.code(), Some(0), "{gc:?}");
+    let report = String::from_utf8_lossy(&gc.stdout);
+    assert!(
+        report.contains(&format!("store gc: scanned {}, evicted ", objects.len())),
+        "{report}"
+    );
+    assert!(!report.contains("evicted 0 "), "{report}");
+    let (code, after) = verify();
+    assert_eq!(code, Some(0), "{after}");
+    assert!(
+        after.contains(" 0 corrupt") && !after.contains(": 0 valid"),
+        "{after}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,10 +1,14 @@
 //! Cross-process store contention: two `modsoc` processes sharing one
 //! store directory must serialize writes through the advisory locks and
-//! merge journal updates instead of losing them.
+//! merge journal updates instead of losing them, and two handles racing
+//! for one `(journal, unit)` claim must see exactly one winner.
 
 use std::process::Command;
+use std::time::Duration;
 
-use modsoc::store::ResultStore;
+use modsoc::store::{
+    ClaimAction, ClaimOutcome, ClaimRequest, LocalBackend, ResultStore, StoreBackend,
+};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("modsoc_store_lock_{tag}_{}", std::process::id()));
@@ -165,5 +169,90 @@ fn daemon_and_sidecar_campaign_share_one_store() {
     let (valid, corrupt) = store.verify_all().expect("sweep");
     assert_eq!(corrupt, 0, "{valid} valid, {corrupt} corrupt");
     assert!(valid > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One claim call on unit `u1` of journal `j`, as `owner`.
+fn claim(
+    backend: &LocalBackend,
+    owner: &str,
+    lease: Duration,
+    action: ClaimAction,
+) -> ClaimOutcome {
+    backend
+        .claim(&ClaimRequest {
+            journal: "j",
+            unit: "u1",
+            key: "k",
+            owner,
+            lease,
+            action,
+        })
+        .expect("claim call")
+}
+
+/// Two independent handles on one store directory — the shape of two
+/// processes sharing it.
+fn two_handles(tag: &str) -> (std::path::PathBuf, LocalBackend, LocalBackend) {
+    let dir = temp_dir(tag);
+    let store_dir = dir.join("store");
+    let (a, _) = LocalBackend::open(&store_dir).expect("open a");
+    let (b, _) = LocalBackend::open(&store_dir).expect("open b");
+    (dir, a, b)
+}
+
+#[test]
+fn claim_contention_has_exactly_one_winner() {
+    let (dir, a, b) = two_handles("claim_cas");
+    let lease = Duration::from_secs(30);
+    let oa = claim(&a, "worker-a", lease, ClaimAction::Acquire);
+    let ob = claim(&b, "worker-b", lease, ClaimAction::Acquire);
+    match (&oa, &ob) {
+        (ClaimOutcome::Acquired { .. }, ClaimOutcome::Held { owner }) => {
+            assert_eq!(owner, "worker-a");
+        }
+        other => panic!("expected a to win and b to be held, got {other:?}"),
+    }
+    // Re-claiming one's own live unit renews rather than conflicts.
+    assert_eq!(
+        claim(&a, "worker-a", lease, ClaimAction::Acquire),
+        ClaimOutcome::Acquired { broke_stale: false }
+    );
+    // Release by the loser is refused; release by the winner frees it.
+    assert_eq!(
+        claim(&b, "worker-b", Duration::ZERO, ClaimAction::Release),
+        ClaimOutcome::NotOwner
+    );
+    assert_eq!(
+        claim(&a, "worker-a", Duration::ZERO, ClaimAction::Release),
+        ClaimOutcome::Released
+    );
+    assert_eq!(
+        claim(&b, "worker-b", lease, ClaimAction::Acquire),
+        ClaimOutcome::Acquired { broke_stale: false }
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn expired_lease_of_a_killed_worker_is_broken() {
+    let (dir, dead, heir) = two_handles("claim_lease");
+    let lease = Duration::from_millis(60);
+    // "Kill" a worker: it claims with a short lease and never renews.
+    assert!(matches!(
+        claim(&dead, "doomed", lease, ClaimAction::Acquire),
+        ClaimOutcome::Acquired { .. }
+    ));
+    // While the lease is live the unit stays held...
+    assert!(matches!(
+        claim(&heir, "heir", lease, ClaimAction::Acquire),
+        ClaimOutcome::Held { .. }
+    ));
+    // ...and once it expires, the claim is broken and re-offered.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        claim(&heir, "heir", lease, ClaimAction::Acquire),
+        ClaimOutcome::Acquired { broke_stale: true }
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
