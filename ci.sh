@@ -69,40 +69,45 @@ grep -q "monolithic ATPG" "$workdir/soc2_smoke.txt" \
 grep -q "45,183" "$workdir/soc1_smoke.txt" \
   || { echo "FAIL: soc1.soc analyze lost the Table 1 modular TDV (45,183)"; exit 1; }
 
-echo "== paper reproduction golden (modsoc repro at --jobs 1 and --jobs 4)"
+echo "== paper reproduction golden (modsoc repro at --jobs 1, 2 and 4)"
 # Every table, figure and extension section, diffed against the
 # committed stdout. Pins the live SOC1/SOC2/at-speed pattern counts and
-# checks that repro output is identical at any --jobs value. After an
-# intentional change to a printed number, regenerate with
+# checks that repro output is identical at any --jobs value (with 2
+# workers the monolithic run, claimed first, overlaps queued cores).
+# After an intentional change to a printed number, regenerate with
 # `modsoc repro --jobs 1 > testdata/repro.txt` and commit the diff.
-for jobs in 1 4; do
+for jobs in 1 2 4; do
   ./target/release/modsoc repro --jobs "$jobs" > "$workdir/repro$jobs.txt" 2>/dev/null
   diff testdata/repro.txt "$workdir/repro$jobs.txt" \
     || { echo "FAIL: modsoc repro --jobs $jobs diverges from testdata/repro.txt"; exit 1; }
 done
 
-echo "== parallel determinism gate (--jobs 1 vs --jobs 4)"
+echo "== parallel determinism gate (--jobs 1 vs --jobs 2 and 4)"
 # The worker pool's contract: reports are byte-identical at any --jobs
 # value. Diverging output here means an order-dependent merge crept in.
 ./target/release/modsoc analyze testdata/soc2.soc --keep-going --jobs 1 > "$workdir/jobs1.txt"
-./target/release/modsoc analyze testdata/soc2.soc --keep-going --jobs 4 > "$workdir/jobs4.txt"
-diff "$workdir/jobs1.txt" "$workdir/jobs4.txt" \
-  || { echo "FAIL: analyze output diverges between --jobs 1 and --jobs 4"; exit 1; }
 ./target/release/modsoc experiment mini --jobs 1 > "$workdir/exp1.txt"
-./target/release/modsoc experiment mini --jobs 4 > "$workdir/exp4.txt"
-diff "$workdir/exp1.txt" "$workdir/exp4.txt" \
-  || { echo "FAIL: experiment output diverges between --jobs 1 and --jobs 4"; exit 1; }
+for jobs in 2 4; do
+  ./target/release/modsoc analyze testdata/soc2.soc --keep-going --jobs "$jobs" > "$workdir/jobs$jobs.txt"
+  diff "$workdir/jobs1.txt" "$workdir/jobs$jobs.txt" \
+    || { echo "FAIL: analyze output diverges between --jobs 1 and --jobs $jobs"; exit 1; }
+  ./target/release/modsoc experiment mini --jobs "$jobs" > "$workdir/exp$jobs.txt"
+  diff "$workdir/exp1.txt" "$workdir/exp$jobs.txt" \
+    || { echo "FAIL: experiment output diverges between --jobs 1 and --jobs $jobs"; exit 1; }
+done
 
-echo "== metrics determinism gate (counters identical at --jobs 1 vs --jobs 4)"
+echo "== metrics determinism gate (counters identical at --jobs 1 vs --jobs 2 and 4)"
 # The metrics layer's contract: every report field except wall times
 # (*_ms), the sched objects and the jobs field itself is deterministic.
 # The serializer puts each volatile field on its own line so this filter
 # strips exactly the volatile subset.
 ./target/release/modsoc experiment mini --jobs 1 --metrics "$workdir/m1.json" > /dev/null
-./target/release/modsoc experiment mini --jobs 4 --metrics "$workdir/m4.json" > /dev/null
-diff <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m1.json") \
-     <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m4.json") \
-  || { echo "FAIL: metrics counters diverge between --jobs 1 and --jobs 4"; exit 1; }
+for jobs in 2 4; do
+  ./target/release/modsoc experiment mini --jobs "$jobs" --metrics "$workdir/m$jobs.json" > /dev/null
+  diff <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m1.json") \
+       <(grep -vE '"(sched|jobs)": |_ms":|"store_' "$workdir/m$jobs.json") \
+    || { echo "FAIL: metrics counters diverge between --jobs 1 and --jobs $jobs"; exit 1; }
+done
 
 echo "== tam co-optimizer gate (smoke + --jobs determinism)"
 # The rectangle packer's contract: the full comparison table is a pure
@@ -120,7 +125,7 @@ grep -q "constrained" "$workdir/tam_d695.txt" \
 diff "$workdir/tam_j1.txt" "$workdir/tam_j4.txt" \
   || { echo "FAIL: tam table diverges between --jobs 1 and --jobs 4"; exit 1; }
 
-echo "== store cache determinism gate (cold vs warm, --jobs 1 and 4)"
+echo "== store cache determinism gate (cold vs warm, --jobs 1, 2 and 4)"
 # The result store's contract: a warm run is byte-identical to the cold
 # one on stdout at any --jobs value, and every engine run (4 cores +
 # monolithic on soc2) is served from the cache.
@@ -130,7 +135,7 @@ grep -q "monolithic ATPG" "$workdir/cold.txt" \
   || { echo "FAIL: cold store run produced no monolithic summary"; exit 1; }
 grep -q "store: 0 hits, 5 misses, 5 writes" "$workdir/cold_err.txt" \
   || { echo "FAIL: cold run did not write 5 entries"; cat "$workdir/cold_err.txt"; exit 1; }
-for jobs in 1 4; do
+for jobs in 1 2 4; do
   ./target/release/modsoc experiment soc2 --jobs "$jobs" --store "$store" \
     > "$workdir/warm$jobs.txt" 2> "$workdir/warm${jobs}_err.txt"
   grep -q "store: 5 hits, 0 misses" "$workdir/warm${jobs}_err.txt" \

@@ -12,7 +12,7 @@ use modsoc_netlist::Circuit;
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{block_active_mask, FaultSimulator, SimBlock, BLOCK_BITS};
+use crate::fault_sim::{block_active_mask, DropBuffer, FaultSimulator, SimBlock, BLOCK_BITS};
 
 /// A Fibonacci LFSR with a programmable feedback polynomial.
 ///
@@ -305,30 +305,38 @@ pub fn run_hybrid(
         }
     }
 
-    // Deterministic top-up for the leftovers, with fault dropping.
+    // Deterministic top-up for the leftovers, with buffered fault
+    // dropping. A flush sweeps every still-undetected fault, earlier
+    // aborted ones included: a later top-up pattern may catch them.
     let mut podem = Podem::with_index(circuit, sindex, backtrack_limit)?;
     let mut top_up = TestSet::new(width);
+    let mut drops = DropBuffer::new();
+    let flush = |drops: &mut DropBuffer, fsim: &mut FaultSimulator<'_>, detected: &mut [bool]| {
+        let targets: Vec<usize> = (0..reps.len()).filter(|&j| !detected[j]).collect();
+        for j in drops.flush(&targets, |j, good, active| {
+            fsim.detection_mask(good, active, reps[j])
+        }) {
+            detected[j] = true;
+        }
+    };
     for i in 0..reps.len() {
-        if detected[i] {
+        if detected[i] || drops.detects(&mut fsim, reps[i]) {
+            detected[i] = true;
             continue;
         }
         if let PodemOutcome::Test(cube) = podem.generate(reps[i])? {
             detected[i] = true;
-            let filled = vec![cube.fill_keyed(crate::pattern::FillStrategy::default())];
-            let undetected: Vec<usize> = (0..reps.len()).filter(|&j| !detected[j]).collect();
-            let targets: Vec<crate::fault::Fault> = undetected.iter().map(|&j| reps[j]).collect();
-            for (k, m) in fsim
-                .detection_masks(&filled, &targets)?
-                .into_iter()
-                .enumerate()
-            {
-                if m != 0 {
-                    detected[undetected[k]] = true;
-                }
-            }
+            drops.push(
+                &fsim,
+                &cube.fill_keyed(crate::pattern::FillStrategy::default()),
+            )?;
             top_up.push(cube);
+            if drops.is_full() {
+                flush(&mut drops, &mut fsim, &mut detected);
+            }
         }
     }
+    flush(&mut drops, &mut fsim, &mut detected);
 
     let coverage = detected.iter().filter(|&&d| d).count() as f64 / reps.len().max(1) as f64;
     let external_stimulus_bits = top_up.stimulus_bits();

@@ -11,6 +11,11 @@
 //! * **Reverse-order fault simulation** ([`reverse_order_compaction`]):
 //!   re-simulates the final filled patterns from last to first and drops
 //!   any pattern that detects no fault that later-kept patterns miss.
+//!   A pattern survives that scan iff it is the *last* pattern to detect
+//!   some fault (if a later pattern `q` also detected that fault, `q` was
+//!   either kept, covering it, or dropped because everything it detects
+//!   was already covered), so the pass only has to find each fault's
+//!   last detector, with fault dropping.
 
 use std::sync::Arc;
 
@@ -18,7 +23,7 @@ use modsoc_netlist::{Circuit, StructuralIndex};
 
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::FaultSimulator;
+use crate::fault_sim::{block_active_mask, FaultSimulator, SimBlock, BLOCK_BITS};
 use crate::pattern::{FillStrategy, TestCube, TestSet};
 
 /// Greedy first-fit merging of compatible cubes.
@@ -96,35 +101,38 @@ pub fn reverse_order_compaction_indexed(
     let filled = patterns.fill_all(fill);
     let mut fsim = FaultSimulator::with_index(circuit, Arc::clone(index))?;
 
-    // Detection matrix: per pattern, which fault indices it detects.
-    let detects = detection_matrix(&mut fsim, &filled, faults)?;
-
+    // Blocks from the end: each still-uncovered fault's highest set
+    // bit is its last detector. A fault covered by a later block is
+    // never simulated again.
     let mut covered = vec![false; faults.len()];
-    let mut keep: Vec<usize> = Vec::new();
-    for i in (0..patterns.len()).rev() {
-        let new = detects[i].iter().any(|&f| !covered[f as usize]);
-        if new {
-            for &f in &detects[i] {
-                covered[f as usize] = true;
+    let mut keep = vec![false; filled.len()];
+    for start in (0..filled.len()).step_by(BLOCK_BITS).rev() {
+        let chunk = &filled[start..filled.len().min(start + BLOCK_BITS)];
+        let (good, n) = fsim.good_blocks(chunk)?;
+        let active = block_active_mask(n);
+        for (c, &fault) in covered.iter_mut().zip(faults) {
+            if *c {
+                continue;
             }
-            keep.push(i);
+            if let Some(slot) = highest_slot(&fsim.block_detection_mask(&good, &active, fault)) {
+                keep[start + slot] = true;
+                *c = true;
+            }
         }
     }
-    keep.sort_unstable();
+    let keep: Vec<usize> = (0..keep.len()).filter(|&i| keep[i]).collect();
     let mut out = patterns.clone();
     out.retain_indices(&keep);
     Ok(out)
 }
 
-/// Per pattern, the ascending indices of the faults it detects.
-fn detection_matrix(
-    fsim: &mut FaultSimulator<'_>,
-    filled: &[Vec<bool>],
-    faults: &[Fault],
-) -> Result<Vec<Vec<u32>>, AtpgError> {
-    let mut detects: Vec<Vec<u32>> = vec![Vec::new(); filled.len()];
-    fsim.for_each_detection(filled, faults, |p, f| detects[p].push(f as u32))?;
-    Ok(detects)
+/// The highest set slot of a block mask, if any.
+fn highest_slot(mask: &SimBlock) -> Option<usize> {
+    mask.iter()
+        .enumerate()
+        .rev()
+        .find(|(_, &word)| word != 0)
+        .map(|(w, &word)| w * 64 + 63 - word.leading_zeros() as usize)
 }
 
 /// Conflict statistics of a cube set — the §3 mechanism made
@@ -192,12 +200,54 @@ pub fn conflict_stats(cubes: &TestSet) -> ConflictStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fault::enumerate_faults;
     use crate::fault_sim::fault_coverage;
     use crate::pattern::Bit;
     use modsoc_netlist::bench_format::parse_bench;
+
+    /// Reference for [`reverse_order_compaction_indexed`]: the
+    /// detection-matrix scan it replaced, which simulates every pattern
+    /// against every fault and walks the patterns from last to first.
+    pub(crate) fn reverse_order_compaction_matrix(
+        circuit: &Circuit,
+        patterns: &TestSet,
+        faults: &[Fault],
+        fill: FillStrategy,
+    ) -> Result<TestSet, AtpgError> {
+        if patterns.is_empty() || faults.is_empty() {
+            return Ok(patterns.clone());
+        }
+        let mut fsim = FaultSimulator::new(circuit)?;
+        let detects = detection_matrix(&mut fsim, &patterns.fill_all(fill), faults)?;
+        let mut covered = vec![false; faults.len()];
+        let mut keep: Vec<usize> = Vec::new();
+        for i in (0..patterns.len()).rev() {
+            let new = detects[i].iter().any(|&f| !covered[f as usize]);
+            if new {
+                for &f in &detects[i] {
+                    covered[f as usize] = true;
+                }
+                keep.push(i);
+            }
+        }
+        keep.sort_unstable();
+        let mut out = patterns.clone();
+        out.retain_indices(&keep);
+        Ok(out)
+    }
+
+    /// Per pattern, the ascending indices of the faults it detects.
+    fn detection_matrix(
+        fsim: &mut FaultSimulator<'_>,
+        filled: &[Vec<bool>],
+        faults: &[Fault],
+    ) -> Result<Vec<Vec<u32>>, AtpgError> {
+        let mut detects: Vec<Vec<u32>> = vec![Vec::new(); filled.len()];
+        fsim.for_each_detection(filled, faults, |p, f| detects[p].push(f as u32))?;
+        Ok(detects)
+    }
 
     #[test]
     fn merge_disjoint_cubes() {

@@ -20,7 +20,7 @@ use crate::collapse::collapse_faults_metered;
 use crate::compact::{merge_compatible, reverse_order_compaction_indexed};
 use crate::error::AtpgError;
 use crate::fault::{Fault, FaultStatus};
-use crate::fault_sim::FaultSimulator;
+use crate::fault_sim::{DropBuffer, FaultSimulator};
 use crate::pattern::{FillStrategy, TestCube, TestSet};
 use crate::podem::{Podem, PodemOutcome};
 
@@ -156,6 +156,162 @@ impl AtpgResult {
     }
 }
 
+/// Fault-simulation work, in the metrics contract's 64-slot batch units
+/// (see [`Counter::FaultSimBatches`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SimWork {
+    batches: u64,
+    evals: u64,
+}
+
+/// The fixed inputs of phase 2, deterministic PODEM with fault dropping.
+struct PodemPhase<'r> {
+    /// Collapsed fault-class representatives, in targeting order.
+    reps: &'r [Fault],
+    /// The engine fill: drops are simulated on `fill_keyed(fill)`.
+    fill: FillStrategy,
+    budget: &'r RunBudget,
+    /// Patterns the random phase banked (they count against the cap).
+    banked: usize,
+    /// Pattern width (the circuit's input count).
+    width: usize,
+}
+
+impl PodemPhase<'_> {
+    /// Target every still-undetected fault in index order and drop the
+    /// faults each new cube detects through the empty buffer `drops`: a
+    /// probe before each target, a 64-wide flush whenever the buffer
+    /// fills, and a last flush when the loop ends. Returns the cubes in
+    /// generation order; `status` and `exhausted` are updated in place.
+    fn run(
+        &self,
+        podem: &mut Podem<'_>,
+        fsim: &mut FaultSimulator<'_>,
+        mut drops: DropBuffer,
+        status: &mut [FaultStatus],
+        exhausted: &mut Option<BudgetExhausted>,
+        work: &mut SimWork,
+    ) -> Result<TestSet, AtpgError> {
+        let reps = self.reps;
+        let mut cubes = TestSet::new(self.width);
+        // Where the last flush starts: past the end on a full pass, just
+        // past the fault the budget stopped at otherwise.
+        let mut resume = reps.len();
+        for i in 0..reps.len() {
+            if status[i] != FaultStatus::Undetected {
+                continue;
+            }
+            if !drops.is_empty() {
+                work.evals += 1;
+                if drops.detects(fsim, reps[i]) {
+                    status[i] = FaultStatus::Detected;
+                    continue;
+                }
+            }
+            if exhausted.is_none() {
+                let total = self.banked + cubes.len();
+                if let Some(reason) = self.budget.check_with_patterns(total) {
+                    *exhausted = Some(self.budget.exhausted(reason, "podem", total));
+                }
+            }
+            if exhausted.is_some() {
+                resume = i + 1;
+                break;
+            }
+            match podem.generate_budgeted(reps[i], Some(self.budget))? {
+                PodemOutcome::Test(cube) => {
+                    status[i] = FaultStatus::Detected;
+                    // Incidental detections under the engine fill are
+                    // re-verified after merging.
+                    drops.push(fsim, &cube.fill_keyed(self.fill))?;
+                    cubes.push(cube);
+                    if drops.is_full() {
+                        self.flush(&mut drops, fsim, status, i + 1, work);
+                    }
+                }
+                PodemOutcome::Redundant => status[i] = FaultStatus::Redundant,
+                PodemOutcome::Aborted => status[i] = FaultStatus::Aborted,
+            }
+        }
+        self.flush(&mut drops, fsim, status, resume, work);
+        Ok(cubes)
+    }
+
+    /// Sweep the pending cubes over the still-undetected faults from
+    /// `from` on (the faults before it were probed against them
+    /// already). One flush that sweeps any fault counts as one batch.
+    fn flush(
+        &self,
+        drops: &mut DropBuffer,
+        fsim: &mut FaultSimulator<'_>,
+        status: &mut [FaultStatus],
+        from: usize,
+        work: &mut SimWork,
+    ) {
+        let reps = self.reps;
+        let targets: Vec<usize> = (from..reps.len())
+            .filter(|&j| status[j] == FaultStatus::Undetected)
+            .collect();
+        if !drops.is_empty() && !targets.is_empty() {
+            work.batches += 1;
+            work.evals += targets.len() as u64;
+        }
+        for j in drops.flush(&targets, |j, good, active| {
+            fsim.detection_mask(good, active, reps[j])
+        }) {
+            status[j] = FaultStatus::Detected;
+        }
+    }
+
+    /// Reference for [`PodemPhase::run`]: the one-pattern dropping it
+    /// replaced, which simulates every new cube on its own against a
+    /// freshly rebuilt undetected list.
+    #[cfg(test)]
+    fn run_per_cube(
+        &self,
+        podem: &mut Podem<'_>,
+        fsim: &mut FaultSimulator<'_>,
+        status: &mut [FaultStatus],
+        exhausted: &mut Option<BudgetExhausted>,
+    ) -> Result<TestSet, AtpgError> {
+        let reps = self.reps;
+        let mut cubes = TestSet::new(self.width);
+        for i in 0..reps.len() {
+            if status[i] != FaultStatus::Undetected {
+                continue;
+            }
+            if exhausted.is_none() {
+                let total = self.banked + cubes.len();
+                if let Some(reason) = self.budget.check_with_patterns(total) {
+                    *exhausted = Some(self.budget.exhausted(reason, "podem", total));
+                }
+            }
+            if exhausted.is_some() {
+                break;
+            }
+            match podem.generate_budgeted(reps[i], Some(self.budget))? {
+                PodemOutcome::Test(cube) => {
+                    status[i] = FaultStatus::Detected;
+                    let filled = vec![cube.fill_keyed(self.fill)];
+                    cubes.push(cube);
+                    let undetected: Vec<usize> = (0..reps.len())
+                        .filter(|&j| status[j] == FaultStatus::Undetected)
+                        .collect();
+                    let targets: Vec<Fault> = undetected.iter().map(|&j| reps[j]).collect();
+                    for (k, m) in fsim.detection_masks(&filled, &targets)?.iter().enumerate() {
+                        if *m != 0 {
+                            status[undetected[k]] = FaultStatus::Detected;
+                        }
+                    }
+                }
+                PodemOutcome::Redundant => status[i] = FaultStatus::Redundant,
+                PodemOutcome::Aborted => status[i] = FaultStatus::Aborted,
+            }
+        }
+        Ok(cubes)
+    }
+}
+
 /// The ATPG engine. See the [crate documentation](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct Atpg {
@@ -285,8 +441,7 @@ impl Atpg {
         // batch units (batches submitted, fault evaluations requested),
         // regardless of the kernel's block width — the metrics contract
         // predates the wide kernel and reports must not drift with it.
-        let mut sim_batches = 0u64;
-        let mut sim_evals = 0u64;
+        let mut work = SimWork::default();
 
         // --- Phase 1: random patterns with fault dropping. ---
         let random_timer = PhaseTimer::start(sink, Phase::RandomPhase);
@@ -306,8 +461,8 @@ impl Atpg {
                 break;
             }
             let targets: Vec<Fault> = undetected.iter().map(|&i| reps[i]).collect();
-            sim_batches += 1;
-            sim_evals += targets.len() as u64;
+            work.batches += 1;
+            work.evals += targets.len() as u64;
             let (masks, fsim_trip) = fsim.detection_masks_budgeted(&batch, &targets, budget)?;
             // Per pattern slot, in order: keep the pattern iff it detects a
             // fault no earlier-kept pattern in this or previous batches has.
@@ -347,52 +502,27 @@ impl Atpg {
         stats.random_patterns = random_set.len();
         sink.add(Counter::RandomPatternsKept, random_set.len() as u64);
 
-        // --- Phase 2: deterministic PODEM with fault dropping. ---
+        // --- Phase 2: deterministic PODEM with buffered fault dropping. ---
         let podem_timer = PhaseTimer::start(sink, Phase::PodemPhase);
         let mut podem =
             Podem::with_index(circuit, Arc::clone(&sindex), self.options.backtrack_limit)?;
-        let mut det_cubes = TestSet::new(width);
-        let mut generated_cubes = 0usize;
-        for i in 0..reps.len() {
-            if status[i] != FaultStatus::Undetected {
-                continue;
-            }
-            if exhausted.is_none() {
-                let total = random_set.len() + det_cubes.len();
-                if let Some(reason) = budget.check_with_patterns(total) {
-                    exhausted = Some(budget.exhausted(reason, "podem", total));
-                }
-            }
-            if exhausted.is_some() {
-                break;
-            }
-            match podem.generate_budgeted(reps[i], Some(budget))? {
-                PodemOutcome::Test(cube) => {
-                    status[i] = FaultStatus::Detected;
-                    generated_cubes += 1;
-                    // Drop other faults detected by this cube under the
-                    // engine fill; incidental detections are re-verified
-                    // after merging.
-                    let filled = vec![cube.fill_keyed(self.options.fill)];
-                    det_cubes.push(cube);
-                    let undetected: Vec<usize> = (0..reps.len())
-                        .filter(|&j| status[j] == FaultStatus::Undetected)
-                        .collect();
-                    let targets: Vec<Fault> = undetected.iter().map(|&j| reps[j]).collect();
-                    sim_batches += 1;
-                    sim_evals += targets.len() as u64;
-                    for (k, m) in fsim.detection_masks(&filled, &targets)?.iter().enumerate() {
-                        if *m != 0 {
-                            status[undetected[k]] = FaultStatus::Detected;
-                        }
-                    }
-                }
-                PodemOutcome::Redundant => status[i] = FaultStatus::Redundant,
-                PodemOutcome::Aborted => status[i] = FaultStatus::Aborted,
-            }
-        }
+        let phase = PodemPhase {
+            reps: &reps,
+            fill: self.options.fill,
+            budget,
+            banked: random_set.len(),
+            width,
+        };
+        let det_cubes = phase.run(
+            &mut podem,
+            &mut fsim,
+            DropBuffer::new(),
+            &mut status,
+            &mut exhausted,
+            &mut work,
+        )?;
         drop(podem_timer);
-        stats.deterministic_cubes = generated_cubes;
+        stats.deterministic_cubes = det_cubes.len();
 
         // --- Phase 3: static merge of deterministic cubes. ---
         let det_cube_count = det_cubes.len();
@@ -418,8 +548,8 @@ impl Atpg {
         let detected_goal: Vec<usize> = (0..reps.len())
             .filter(|&i| status[i] == FaultStatus::Detected)
             .collect();
-        sim_batches += patterns.len().div_ceil(64) as u64;
-        sim_evals += (patterns.len().div_ceil(64) * reps.len()) as u64;
+        work.batches += patterns.len().div_ceil(64) as u64;
+        work.evals += (patterns.len().div_ceil(64) * reps.len()) as u64;
         let detected_now = fsim.detected_over(&patterns.fill_all(self.options.fill), &reps)?;
         for &i in &detected_goal {
             if !detected_now[i] {
@@ -464,8 +594,8 @@ impl Atpg {
 
         // --- Final accounting against the shipped fill. ---
         let accounting_timer = PhaseTimer::start(sink, Phase::FinalAccounting);
-        sim_batches += patterns.len().div_ceil(64) as u64;
-        sim_evals += (patterns.len().div_ceil(64) * reps.len()) as u64;
+        work.batches += patterns.len().div_ceil(64) as u64;
+        work.evals += (patterns.len().div_ceil(64) * reps.len()) as u64;
         let final_detected = fsim.detected_over(&patterns.fill_all(self.options.fill), &reps)?;
         for i in 0..reps.len() {
             match status[i] {
@@ -493,8 +623,8 @@ impl Atpg {
         // Flush the locally-accumulated counters. Detections are counted
         // from the *final* per-fault booleans (not per-simulation-event),
         // so every flushed value is a function of the deterministic result.
-        sink.add(Counter::FaultSimBatches, sim_batches);
-        sink.add(Counter::FaultSimFaultEvals, sim_evals);
+        sink.add(Counter::FaultSimBatches, work.batches);
+        sink.add(Counter::FaultSimFaultEvals, work.evals);
         sink.add(
             Counter::FaultSimDetections,
             final_detected.iter().filter(|&&d| d).count() as u64,
@@ -697,5 +827,144 @@ g23 = NAND(g16, g19)
         );
         assert_eq!(r.stats.final_patterns, r.pattern_count());
         assert!(r.stats.universe_faults >= r.stats.collapsed_faults);
+    }
+
+    /// Differential oracle for the buffered drop path and the
+    /// last-detector reverse compaction: phase 2 runs twice from the
+    /// same statuses, once through [`PodemPhase::run`] and once through
+    /// the one-pattern reference, and must produce the same cubes,
+    /// statuses and budget outcome; the cubes (plus enough filler
+    /// patterns to cross a 512-pattern block) then compact to the same
+    /// kept patterns under both compaction passes.
+    fn assert_drop_paths_agree(
+        circuit: &Circuit,
+        seed: u64,
+        max_patterns: Option<usize>,
+        drop_capacity: usize,
+        filler: usize,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use crate::collapse::collapse_faults_with;
+        use crate::compact::tests::reverse_order_compaction_matrix;
+        use crate::fault_sim::oracle::cyc_patterns;
+        use proptest::prop_assert_eq;
+
+        let sindex = Arc::new(StructuralIndex::build(circuit).unwrap());
+        let reps = collapse_faults_with(circuit, &sindex)
+            .representatives()
+            .to_vec();
+        // Stand-in for the random phase: a seeded subset starts Detected.
+        let initial: Vec<FaultStatus> = (0..reps.len() as u64)
+            .map(|k| {
+                if (seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .rotate_left(17)
+                    .is_multiple_of(5)
+                {
+                    FaultStatus::Detected
+                } else {
+                    FaultStatus::Undetected
+                }
+            })
+            .collect();
+        let fill = if seed.is_multiple_of(2) {
+            FillStrategy::default()
+        } else {
+            FillStrategy::Zeros
+        };
+        // Fresh budgets: clones would share one backtrack counter.
+        let budget = || match max_patterns {
+            Some(n) => RunBudget::unlimited().with_max_patterns(n),
+            None => RunBudget::unlimited(),
+        };
+        let run = |buffered: bool| {
+            let budget = budget();
+            let phase = PodemPhase {
+                reps: &reps,
+                fill,
+                budget: &budget,
+                banked: 0,
+                width: circuit.input_count(),
+            };
+            // A small backtrack limit keeps the Aborted path in play.
+            let mut podem = Podem::with_index(circuit, Arc::clone(&sindex), 16).unwrap();
+            let mut fsim = FaultSimulator::with_index(circuit, Arc::clone(&sindex)).unwrap();
+            let mut status = initial.clone();
+            let mut exhausted = None;
+            let cubes = if buffered {
+                let drops = DropBuffer::with_capacity(drop_capacity);
+                let mut work = SimWork::default();
+                phase.run(
+                    &mut podem,
+                    &mut fsim,
+                    drops,
+                    &mut status,
+                    &mut exhausted,
+                    &mut work,
+                )
+            } else {
+                phase.run_per_cube(&mut podem, &mut fsim, &mut status, &mut exhausted)
+            }
+            .unwrap();
+            (cubes, status, exhausted)
+        };
+        let (cubes, status, exhausted) = run(true);
+        let (ref_cubes, ref_status, ref_exhausted) = run(false);
+        prop_assert_eq!(&cubes, &ref_cubes);
+        prop_assert_eq!(&status, &ref_status);
+        prop_assert_eq!(&exhausted, &ref_exhausted);
+
+        let mut patterns = cubes;
+        for p in cyc_patterns(circuit.input_count(), filler) {
+            patterns.push(TestCube::from_bools(&p));
+        }
+        let kept =
+            reverse_order_compaction_indexed(circuit, &sindex, &patterns, &reps, fill).unwrap();
+        let ref_kept = reverse_order_compaction_matrix(circuit, &patterns, &reps, fill).unwrap();
+        prop_assert_eq!(kept, ref_kept);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn buffered_drops_match_per_cube_on_generated_cores(
+            inputs in 4usize..10,
+            outputs in 2usize..8,
+            scan in 2usize..16,
+            overlap_pct in 0usize..100,
+            xor_pct in 0usize..40,
+            seed in 0u64..1024,
+            cap in 0usize..80,
+            drop_capacity in 1usize..=64,
+            filler in 0usize..600,
+        ) {
+            let mut profile =
+                modsoc_circuitgen::CoreProfile::new("drop", inputs, outputs, scan).with_seed(seed);
+            profile.overlap = overlap_pct as f64 / 100.0;
+            profile.xor_fraction = xor_pct as f64 / 100.0;
+            let model = modsoc_circuitgen::generate(&profile).unwrap().to_test_model().unwrap();
+            // Draws of 40 and above run uncapped.
+            let cap = (cap < 40).then_some(cap + 1);
+            assert_drop_paths_agree(&model.circuit, seed, cap, drop_capacity, filler)?;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn buffered_drops_match_per_cube_on_iscas_profiles(
+            which in 0usize..3,
+            seed in 0u64..64,
+            cap in 0usize..240,
+            drop_capacity in 1usize..=64,
+        ) {
+            use modsoc_circuitgen::profile::iscas;
+            let profile = [iscas::s713, iscas::s953, iscas::s1423][which](seed);
+            let model = modsoc_circuitgen::generate(&profile).unwrap().to_test_model().unwrap();
+            // Draws of 120 and above run uncapped.
+            let cap = (cap < 120).then_some(cap + 1);
+            assert_drop_paths_agree(&model.circuit, seed, cap, drop_capacity, 520)?;
+        }
     }
 }

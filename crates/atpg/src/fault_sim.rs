@@ -7,14 +7,14 @@
 //! whole circuit. The same kernel is monomorphized at two widths:
 //!
 //! - **`u64`** — 64 patterns per pass. Used wherever a 64-slot batch is
-//!   semantically visible (the engine's random-phase keep/drop
-//!   bookkeeping, single-pattern fault dropping in PODEM/TDF/BIST
-//!   top-up).
+//!   semantically visible: the engine's random-phase keep/drop
+//!   bookkeeping, and the [`DropBuffer`] that banks up to 64 generated
+//!   patterns for buffered fault dropping in PODEM/TDF/BIST top-up.
 //! - **[`SimBlock`]** (`[u64; 8]`) — 512 patterns per pass, written so
 //!   the autovectorizer lifts the lane loops to 256/512-bit SIMD. The
 //!   bulk sweeps ([`FaultSimulator::detected_over`],
-//!   [`detection_counts`], [`fault_coverage`], the compaction matrix,
-//!   TDF/BIST coverage) run on this width by default.
+//!   [`detection_counts`], [`fault_coverage`], reverse-order
+//!   compaction, TDF/BIST coverage) run on this width by default.
 //!
 //! Values are node-major (struct-of-arrays): each node's whole block is
 //! contiguous, so wide gate evaluation streams cache lines.
@@ -500,6 +500,7 @@ impl<'a> FaultSimulator<'a> {
     /// # Errors
     ///
     /// Propagates pattern width errors.
+    #[cfg(test)]
     pub(crate) fn for_each_detection(
         &mut self,
         patterns: &[Vec<bool>],
@@ -522,6 +523,157 @@ impl<'a> FaultSimulator<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// Buffered fault dropping: the one drop primitive behind every
+/// generate-then-drop loop (the engine's PODEM phase, TDF generation and
+/// the BIST top-up).
+///
+/// Such a loop visits faults in index order and must target fault `i`
+/// iff no pattern generated earlier detects it. Simulating each new
+/// pattern on its own runs the 64-lane kernel with one lane in use;
+/// the buffer instead banks up to [`DropBuffer::CAPACITY`] filled
+/// patterns together with their good-circuit values:
+///
+/// - before targeting fault `i`, [`DropBuffer::probe`] checks it against
+///   the pending patterns with one detection-mask evaluation;
+/// - a new pattern is [`DropBuffer::push`]ed; once the buffer is full,
+///   one 64-wide [`DropBuffer::flush`] sweeps it over the still-pending
+///   faults after `i` and empties it;
+/// - the loop flushes once more when it ends, budget break included.
+///
+/// Every pattern generated before fault `i` is then either still
+/// pending (seen by the probe) or was flushed over every fault after
+/// its flush point, so the targeting rule holds exactly: the same
+/// faults are targeted, with the same cubes and the same final
+/// statuses, as with one-pattern dropping.
+#[derive(Debug)]
+pub struct DropBuffer {
+    /// Packed stimulus: bit `k` of word `i` is input `i` of pending
+    /// pattern `k`.
+    inputs: Vec<u64>,
+    /// Good-circuit values of the pending patterns, per node.
+    good: Vec<u64>,
+    len: usize,
+    capacity: usize,
+}
+
+impl Default for DropBuffer {
+    fn default() -> DropBuffer {
+        DropBuffer::new()
+    }
+}
+
+impl DropBuffer {
+    /// Patterns one buffer holds at most: one packed 64-slot batch.
+    pub const CAPACITY: usize = 64;
+
+    /// An empty buffer of [`DropBuffer::CAPACITY`] patterns.
+    #[must_use]
+    pub fn new() -> DropBuffer {
+        DropBuffer {
+            inputs: Vec::new(),
+            good: Vec::new(),
+            len: 0,
+            capacity: DropBuffer::CAPACITY,
+        }
+    }
+
+    /// An empty buffer that flushes after `capacity` (1..=64) patterns:
+    /// the drop verdicts are the same at any capacity, so the oracle
+    /// tests shrink it to put flush boundaries everywhere.
+    #[cfg(test)]
+    pub(crate) fn with_capacity(capacity: usize) -> DropBuffer {
+        assert!((1..=DropBuffer::CAPACITY).contains(&capacity));
+        DropBuffer {
+            capacity,
+            ..DropBuffer::new()
+        }
+    }
+
+    /// Whether no pattern is pending.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether the buffer is at capacity and must be flushed before the
+    /// next push.
+    #[must_use]
+    pub fn is_full(&self) -> bool {
+        self.len == self.capacity
+    }
+
+    /// Bank one filled pattern and re-evaluate the good circuit over the
+    /// pending batch (one packed evaluation, as a one-pattern drop
+    /// costs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AtpgError::PatternWidth`] if the pattern width differs
+    /// from the circuit's input count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is full.
+    pub fn push(&mut self, fsim: &FaultSimulator<'_>, pattern: &[bool]) -> Result<(), AtpgError> {
+        assert!(!self.is_full(), "flush a full drop buffer before pushing");
+        let width = fsim.circuit.input_count();
+        if pattern.len() != width {
+            return Err(AtpgError::PatternWidth {
+                expected: width,
+                got: pattern.len(),
+            });
+        }
+        if self.len == 0 {
+            self.inputs.clear();
+            self.inputs.resize(width, 0);
+        }
+        for (word, &bit) in self.inputs.iter_mut().zip(pattern) {
+            if bit {
+                *word |= 1 << self.len;
+            }
+        }
+        self.len += 1;
+        self.good = fsim.sim.run_on(fsim.circuit, &self.inputs);
+        Ok(())
+    }
+
+    /// Whether some pending pattern detects a fault, where `mask(good,
+    /// active)` is that fault's detection mask against the pending
+    /// batch (e.g. [`FaultSimulator::detection_mask`]). An empty buffer
+    /// detects nothing and calls no kernel.
+    pub fn probe(&self, mask: impl FnOnce(&[u64], u64) -> u64) -> bool {
+        self.len > 0 && mask(&self.good, active_mask(self.len)) != 0
+    }
+
+    /// [`DropBuffer::probe`] for a stuck-at fault.
+    pub fn detects(&self, fsim: &mut FaultSimulator<'_>, fault: Fault) -> bool {
+        self.probe(|good, active| fsim.detection_mask(good, active, fault))
+    }
+
+    /// Sweep the pending patterns over `targets` and empty the buffer:
+    /// `mask(t, good, active)` is target `t`'s detection mask against
+    /// the batch. Returns the targets some pending pattern detects, in
+    /// `targets` order.
+    pub fn flush(
+        &mut self,
+        targets: &[usize],
+        mut mask: impl FnMut(usize, &[u64], u64) -> u64,
+    ) -> Vec<usize> {
+        let active = active_mask(self.len);
+        let hits = if self.len == 0 {
+            Vec::new()
+        } else {
+            targets
+                .iter()
+                .copied()
+                .filter(|&t| mask(t, &self.good, active) != 0)
+                .collect()
+        };
+        self.len = 0;
+        hits
     }
 }
 
@@ -1120,5 +1272,15 @@ g23 = NAND(g16, g19)
                 got: 3
             }
         ));
+        let mut drops = DropBuffer::new();
+        let err = drops.push(&fsim, &[true; 3]).unwrap_err();
+        assert!(matches!(
+            err,
+            AtpgError::PatternWidth {
+                expected: 5,
+                got: 3
+            }
+        ));
+        assert!(drops.is_empty());
     }
 }

@@ -24,7 +24,9 @@ use modsoc_netlist::{Circuit, GateKind, NodeId, TestModel, TestPoint};
 use crate::budget::RunBudget;
 use crate::error::AtpgError;
 use crate::fault::Fault;
-use crate::fault_sim::{block_active_mask, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS};
+use crate::fault_sim::{
+    block_active_mask, DropBuffer, FaultSimulator, PackedWord, SimBlock, BLOCK_BITS,
+};
 use crate::pattern::{FillStrategy, TestSet};
 use crate::podem::{Podem, PodemOutcome};
 
@@ -281,12 +283,30 @@ pub fn run_tdf_atpg(
     let mut aborted = 0usize;
     let mut exhausted = None;
 
+    // Buffered fault dropping with the two-frame mask as probe and
+    // flush mask; a flush sweeps the still-undetected faults from `from`
+    // on (earlier untestable or aborted faults are never flipped).
+    let mut drops = DropBuffer::new();
+    let flush =
+        |drops: &mut DropBuffer, fsim: &mut FaultSimulator<'_>, flags: &mut [bool], from: usize| {
+            let targets: Vec<usize> = (from..faults.len()).filter(|&j| !flags[j]).collect();
+            for j in drops.flush(&targets, |j, good, active| {
+                tdf_mask(fsim, &two, &faults[j], good, active)
+            }) {
+                flags[j] = true;
+            }
+        };
+    let mut resume = faults.len();
     for (i, tf) in faults.iter().enumerate() {
-        if detected_flags[i] {
+        if detected_flags[i]
+            || drops.probe(|good, active| tdf_mask(&mut fsim, &two, tf, good, active))
+        {
+            detected_flags[i] = true;
             continue;
         }
         if let Some(reason) = budget.check_with_patterns(patterns.len()) {
             exhausted = Some(budget.exhausted(reason, "tdf", patterns.len()));
+            resume = i + 1;
             break;
         }
         let init = !tf.slow_to_rise; // frame-1 value before the transition
@@ -298,24 +318,17 @@ pub fn run_tdf_atpg(
         match podem.generate_with_constraints_budgeted(stuck, &[constraint], Some(budget))? {
             PodemOutcome::Test(cube) => {
                 detected_flags[i] = true;
-                // Drop other TDFs detected by the filled pattern; the
-                // good-circuit evaluation is shared across all faults.
-                let filled = vec![cube.fill_keyed(FillStrategy::default())];
-                let (good, _) = fsim.good_values(&filled)?;
-                for (j, other) in faults.iter().enumerate().skip(i + 1) {
-                    if detected_flags[j] {
-                        continue;
-                    }
-                    if tdf_mask(&mut fsim, &two, other, &good, 1) != 0 {
-                        detected_flags[j] = true;
-                    }
-                }
+                drops.push(&fsim, &cube.fill_keyed(FillStrategy::default()))?;
                 patterns.push(cube);
+                if drops.is_full() {
+                    flush(&mut drops, &mut fsim, &mut detected_flags, i + 1);
+                }
             }
             PodemOutcome::Redundant => untestable += 1,
             PodemOutcome::Aborted => aborted += 1,
         }
     }
+    flush(&mut drops, &mut fsim, &mut detected_flags, resume);
     Ok(TdfResult {
         patterns,
         detected: detected_flags.iter().filter(|&&d| d).count(),

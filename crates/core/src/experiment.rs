@@ -8,10 +8,11 @@
 //! falls out of the measured pattern counts.
 //!
 //! Because the paper's whole point is that the per-core ATPG problems
-//! are *independent*, the modular phase dispatches them across a
-//! [`WorkerPool`] ([`ExperimentOptions::jobs`]) and merges the
-//! [`CoreMeasurement`]s in core-index order — reports are byte-identical
-//! to the sequential run at any job count.
+//! are *independent*, every engine run is a job on one [`WorkerPool`]
+//! ([`ExperimentOptions::jobs`]): the flattened monolithic run first (it
+//! is the longest job), then the cores. The [`CoreMeasurement`]s are
+//! merged in core-index order — reports are byte-identical to the
+//! sequential run at any job count.
 
 use std::sync::Arc;
 
@@ -54,11 +55,12 @@ pub struct ExperimentOptions {
     /// before observing the flag is scheduling-dependent, so fail-fast
     /// runs trade the determinism guarantee for latency.
     pub fail_fast: bool,
-    /// Run the flattened monolithic ATPG phase (default). When `false`,
-    /// the accounting falls back to the Equation 2 optimistic bound
-    /// `T_mono = max_i T_i` and no `"<monolithic>"` outcome row is
-    /// emitted — the modular-only mode used by the `--jobs` scaling
-    /// bench, where the serial monolithic run would drown the signal.
+    /// Run the flattened monolithic ATPG phase (default): flatten plus
+    /// ATPG on the whole SOC, submitted to the worker pool ahead of the
+    /// cores as the longest job, so with two or more workers it overlaps
+    /// the per-core runs. When `false`, the accounting falls back to the
+    /// Equation 2 optimistic bound `T_mono = max_i T_i` and no
+    /// `"<monolithic>"` outcome row is emitted (`--skip-monolithic`).
     pub monolithic: bool,
     /// Content-addressed result store (`--store <dir>`): every engine
     /// run — per-core and monolithic — is fetched from the store when a
@@ -304,14 +306,17 @@ impl Assembly {
 /// ([`ExperimentOptions::jobs`]): a panic or typed error in one core
 /// becomes a [`CoreOutcome`] diagnostic while the remaining cores still
 /// produce their rows; a tripped budget yields each core's partial
-/// pattern set. Measurements are merged in core-index order, so the
-/// report is byte-identical to the sequential run at any job count. With
-/// [`ExperimentOptions::fail_fast`], the first core to fail or trip the
+/// pattern set. The flattened monolithic run is one more guarded task on
+/// the same pool (pseudo-core `"<monolithic>"`), claimed first because
+/// it is the longest; when it fails or is skipped, the accounting falls
+/// back to the Equation 2 optimistic bound `T_mono = max_i T_i`.
+/// Measurements are merged in core-index order, so the report is
+/// byte-identical to the sequential run at any job count. With
+/// [`ExperimentOptions::fail_fast`], the first run to fail or trip the
 /// budget raises the budget's cross-thread cancel flag and in-flight
-/// siblings stop at their next poll. The flattened monolithic run is
-/// guarded the same way (pseudo-core `"<monolithic>"`) — when it fails
-/// or is skipped, the accounting falls back to the Equation 2 optimistic
-/// bound `T_mono = max_i T_i`.
+/// siblings stop at their next poll. Budget state shared across runs (a
+/// backtrack pool) is drawn in claim order at `jobs = 1`: monolithic
+/// first, then the cores.
 ///
 /// Callers that need every core to succeed check
 /// [`Completion::is_complete`] or [`Completion::failed_cores`]; pass
@@ -342,12 +347,14 @@ pub fn run_soc_experiment_guarded(
 /// The fully-injectable guarded pipeline behind
 /// [`run_soc_experiment_guarded`]: both the per-core and the monolithic
 /// ATPG functions are caller-supplied, and pipeline-level observability
-/// (modular dispatch / flatten / monolithic / TDV analysis phase
-/// timings, pool utilization) reports into `sink`. `run_core(i,
-/// circuit)` is invoked once per core on a pool worker; panics and
-/// errors it raises are contained to that core's [`CoreOutcome`] exactly
-/// like engine failures — the chaos/fault-injection seam the test suite
-/// uses for deterministic per-core panics. The metered experiment
+/// (dispatch / flatten / monolithic / TDV analysis phase timings, pool
+/// utilization) reports into `sink`; the dispatch span covers every
+/// pool task, the monolithic one included. `run_core(i, circuit)` is
+/// invoked once per core and `run_mono(flat)` once on the flattened
+/// SOC, each on a pool worker; panics and errors they raise are
+/// contained to that run's [`CoreOutcome`] exactly like engine
+/// failures — the chaos/fault-injection seam the test suite uses for
+/// deterministic per-core panics. The metered experiment
 /// runner ([`crate::metrics::run_soc_experiment_metered`]) uses it to
 /// give every core its own recording sink while keeping one pipeline
 /// sink for the dispatch phases. Results are byte-identical to
@@ -366,7 +373,7 @@ pub fn run_soc_experiment_guarded_full<F, G>(
 ) -> Result<Completion<SocExperiment>, AnalysisError>
 where
     F: Fn(usize, &Circuit) -> Result<AtpgResult, AnalysisError> + Sync,
-    G: FnOnce(&Circuit) -> Result<AtpgResult, AnalysisError>,
+    G: Fn(&Circuit) -> Result<AtpgResult, AnalysisError> + Sync,
 {
     let mut exhausted = None;
     let mut outcomes: Vec<CoreOutcome> = Vec::new();
@@ -395,14 +402,31 @@ where
         });
     };
 
-    // Modular phase: every core stand-alone, each isolated, dispatched
-    // across the pool. The jobs only touch per-core state (plus the
-    // budget's atomics), so the merge below sees exactly what a
-    // sequential loop would have seen.
+    // Every engine run is one guarded pool task: the flattened
+    // monolithic run (`None`) first, as the longest job, then every core
+    // stand-alone (`Some(i)`). The tasks only touch their own state (plus
+    // the budget's atomics), so the index-order merge below sees exactly
+    // what a sequential loop would have seen.
+    let tasks: Vec<Option<usize>> = options
+        .monolithic
+        .then_some(None)
+        .into_iter()
+        .chain((0..netlist.cores().len()).map(Some))
+        .collect();
     let dispatch_timer = PhaseTimer::start(sink, Phase::ModularDispatch);
-    let results: Vec<Result<AtpgResult, CoreFailure>> = WorkerPool::new(options.jobs.max(1))
-        .map_with_sink(netlist.cores(), sink, |i, circuit| {
-            let result = guard_result(|| run_core(i, circuit));
+    let mut results: Vec<Result<AtpgResult, CoreFailure>> = WorkerPool::new(options.jobs.max(1))
+        .map_with_sink(&tasks, sink, |_, task| {
+            let result = match *task {
+                Some(i) => guard_result(|| run_core(i, &netlist.cores()[i])),
+                None => guard_result(|| {
+                    let flat = {
+                        let _t = PhaseTimer::start(sink, Phase::Flatten);
+                        netlist.flatten()?
+                    };
+                    let _t = PhaseTimer::start(sink, Phase::MonolithicAtpg);
+                    run_mono(&flat)
+                }),
+            };
             if options.fail_fast {
                 let tripped = match &result {
                     Ok(r) => r.exhausted.is_some(),
@@ -415,6 +439,7 @@ where
             result
         });
     drop(dispatch_timer);
+    let mono = options.monolithic.then(|| results.remove(0));
 
     // Order-preserving merge, in core-index order.
     let mut assembly = Assembly::new(netlist.name(), netlist.cores().len());
@@ -433,18 +458,6 @@ where
         // Nothing survived; there is no analyzable SOC model.
         return Err(AnalysisError::Soc(modsoc_soc::SocError::Empty));
     }
-
-    // Monolithic phase, isolated the same way.
-    let mono = options.monolithic.then(|| {
-        guard_result(|| {
-            let flat = {
-                let _t = PhaseTimer::start(sink, Phase::Flatten);
-                netlist.flatten()?
-            };
-            let _t = PhaseTimer::start(sink, Phase::MonolithicAtpg);
-            run_mono(&flat)
-        })
-    });
     let mono = mono.and_then(|result| {
         record("<monolithic>".to_string(), &result);
         result
@@ -675,12 +688,18 @@ mod tests {
 
     #[test]
     fn fail_fast_cancels_in_flight_siblings() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let netlist = mini_soc(7).unwrap();
         let options = ExperimentOptions::paper_tables_1_2()
             .with_jobs(1)
             .with_fail_fast(true);
         let budget = RunBudget::unlimited();
         let engine = Atpg::new(options.atpg.clone());
+        // What each run saw of the cancel flag when it started. Recorded
+        // rather than asserted in place: the guarded pipeline contains a
+        // closure's panic as that run's failure.
+        let mono_saw_cancel = AtomicBool::new(true);
+        let sibling_saw_cancel = AtomicBool::new(false);
         let completion = run_soc_experiment_guarded_full(
             &netlist,
             &options,
@@ -693,13 +712,26 @@ mod tests {
                 // A healthy sibling: would succeed, but fail-fast has
                 // already raised the shared cancel flag by the time it
                 // runs (jobs=1 ⇒ strictly after core 0).
-                assert!(budget.is_cancelled(), "sibling sees the cancel flag");
+                sibling_saw_cancel.store(budget.is_cancelled(), Ordering::SeqCst);
                 Err(AnalysisError::Soc(modsoc_soc::SocError::Empty))
             },
-            |flat| engine_run(&engine, flat),
+            |flat| {
+                // The monolithic run is claimed first, so at jobs=1 it
+                // runs before any core has failed.
+                mono_saw_cancel.store(budget.is_cancelled(), Ordering::SeqCst);
+                engine_run(&engine, flat)
+            },
         );
         // Both cores failed ⇒ nothing analyzable remains.
         assert!(completion.is_err());
         assert!(budget.is_cancelled());
+        assert!(
+            sibling_saw_cancel.load(Ordering::SeqCst),
+            "sibling sees the cancel flag"
+        );
+        assert!(
+            !mono_saw_cancel.load(Ordering::SeqCst),
+            "monolithic run goes first"
+        );
     }
 }

@@ -61,7 +61,14 @@ pub enum Counter {
     PodemAborted,
     PodemDecisions,
     PodemBacktracks,
+    /// Packed fault-simulation sweeps, in 64-slot units: one per
+    /// random-phase batch, `div_ceil(64)` per coverage-repair and
+    /// final-accounting sweep, and one per PODEM-phase drop-buffer
+    /// flush that sweeps at least one fault.
     FaultSimBatches,
+    /// Faults targeted by the [`Counter::FaultSimBatches`] sweeps, plus
+    /// one per drop-buffer probe (a fault checked against the pending
+    /// cubes before PODEM targets it).
     FaultSimFaultEvals,
     FaultSimDetections,
     StaticMergeSaved,
@@ -74,6 +81,8 @@ pub enum Counter {
     BistPatterns,
     BistTopUpPatterns,
     BudgetTrips,
+    /// Tasks submitted to worker pools; an experiment submits one per
+    /// core plus one for the monolithic run when that phase runs.
     PoolTasks,
     PoolPanics,
     StoreHits,
@@ -242,8 +251,12 @@ pub enum Phase {
     FinalAccounting,
     Tdf,
     Bist,
+    /// Flattening the SOC for the monolithic run (inside its pool task).
     Flatten,
+    /// The experiment's whole pool dispatch: every per-core run and,
+    /// when that phase runs, the monolithic task overlapping them.
     ModularDispatch,
+    /// The monolithic ATPG run (inside its pool task).
     MonolithicAtpg,
     TdvAnalysis,
     Parse,

@@ -7,7 +7,7 @@
 //!
 //! - `u64` — the original single word, 64 patterns per pass. Still used
 //!   wherever a 64-slot batch is semantically visible (the engine's
-//!   random-phase keep/drop bookkeeping, single-pattern fault dropping).
+//!   random-phase keep/drop bookkeeping, the 64-cube fault-drop buffer).
 //! - [`SimBlock`] — `[u64; 8]`, 512 patterns per pass. The lane-wise
 //!   loops below are written so the autovectorizer can lift them to
 //!   256/512-bit SIMD; no intrinsics, no new dependencies.

@@ -503,6 +503,53 @@ fn experiment_mini_is_jobs_invariant_byte_for_byte() {
 }
 
 #[test]
+fn experiment_with_monolithic_is_jobs_invariant_byte_for_byte() {
+    // The monolithic run is a pool task claimed first, so at --jobs 2+
+    // it overlaps the queued cores; the merge must still be by index.
+    for target in ["mini", "soc1"] {
+        let text = assert_jobs_invariant(&["experiment", target], &["2", "4"]);
+        assert!(text.contains("monolithic ATPG: T_mono = "), "{text}");
+        assert!(text.contains("<monolithic>"), "{text}");
+    }
+}
+
+#[test]
+fn shared_backtrack_pool_is_drawn_by_the_monolithic_run_first() {
+    // At --jobs 1 the pool runs its tasks in claim order, and the
+    // monolithic run (the longest job) is claimed first: it drains the
+    // shared 5-backtrack pool in PODEM, and every core then trips the
+    // spent budget before doing any work.
+    let out = modsoc(&["experiment", "soc1", "--jobs", "1", "--max-backtracks", "5"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !(l.starts_with("core") && l.contains("outcome")))
+        .skip(1)
+        .filter(|l| !l.trim().is_empty())
+        .collect();
+    assert_eq!(rows.len(), 6, "five cores and the monolithic run: {text}");
+    for row in &rows {
+        if row.starts_with("<monolithic>") {
+            assert!(
+                row.contains("(backtrack budget) during podem") && !row.contains(" 0 patterns"),
+                "monolithic run draws the pool first: {row}"
+            );
+        } else {
+            assert!(
+                row.contains("(backtrack budget) during setup with 0 patterns banked"),
+                "cores find the pool spent: {row}"
+            );
+        }
+    }
+}
+
+#[test]
 fn analyze_keep_going_output_is_jobs_invariant() {
     let dir = std::env::temp_dir().join(format!("modsoc_cli_jobs_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
